@@ -1,9 +1,9 @@
 """Dynamic correctness checkers (``repro.check``).
 
-Pluggable dynamic analyses that ride the same instance-level patch
-points as the observability layer — a happens-before data-race
-detector, a cache-coherence invariant sanitizer, and a deadlock/
-livelock watchdog. Enable them per run via
+Pluggable dynamic analyses that subscribe to the same probe points
+as the observability layer (:mod:`repro.sim.probe`) — a
+happens-before data-race detector, a cache-coherence invariant
+sanitizer, and a deadlock/livelock watchdog. Enable them per run via
 ``ObsConfig(check=("race", "coherence", "deadlock"))`` or the CLI's
 ``--check=race,coherence,deadlock``; findings land in the run
 manifest and ``python -m repro.check run.json`` gates on them.

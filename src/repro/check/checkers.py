@@ -2,12 +2,10 @@
 
 :class:`CheckerSet` is the one entry point the observability session
 (and tests) use. It instantiates the requested checkers against a
-machine, funnels their findings into a single
+machine (each subscribes to the machine's probe points,
+:mod:`repro.sim.probe`), funnels their findings into a single
 :class:`~repro.check.report.CheckReport`, registers the race detector
-as a :mod:`repro.check.hooks` sink, and tears everything down in
-strict reverse order — several checkers wrap the same processor
-methods, so restoration must unwind LIFO across checkers just as
-:class:`~repro.trace.patch.PatchSet` enforces within one.
+as a :mod:`repro.check.hooks` sink, and tears everything down again.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ class CheckerSet:
             self._on_finding(finding)
 
     def finalize(self) -> CheckReport:
-        """Run quiescence sweeps, detach every checker (reverse attach
-        order), and return the report. Idempotent."""
+        """Run quiescence sweeps, detach every checker, and return the
+        report. Idempotent."""
         if self._finalized:
             return self.report
         self._finalized = True
@@ -92,7 +90,7 @@ class CheckerSet:
             checker.finalize()
         for sink in self._sinks:
             hooks.unregister(sink)
-        for checker in reversed(self.checkers):
+        for checker in self.checkers:
             checker.detach()
         return self.report
 

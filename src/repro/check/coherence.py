@@ -20,10 +20,11 @@ checked invariants are the ones the protocol is supposed to maintain
   lines, or queued protocol work survive the run.
 
 The live SWMR check keeps an incremental ``line -> owner nodes``
-index updated from patched ``fill``/``set_state``/``invalidate``.
-Silent LRU evictions bypass those methods, so the index is only a
-*pre-filter*: an apparent violation is re-verified against the actual
-cache states and stale entries are pruned before reporting.
+index updated from the caches' fill/set_state/invalidate/flush probes
+(:mod:`repro.sim.probe`). Silent LRU evictions fire none of them, so
+the index is only a *pre-filter*: an apparent violation is re-verified
+against the actual cache states and stale entries are pruned before
+reporting.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import TYPE_CHECKING, Callable
 from repro.check.report import Finding
 from repro.memory.address import home_of
 from repro.memory.cache import LineState
-from repro.memory.directory import DirState
-from repro.trace.patch import PatchSet
+from repro.memory.directory import Directory, DirState
+from repro.sim.probe import Subscriptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -50,7 +51,7 @@ class CoherenceSanitizer:
     def __init__(self, machine: "Machine", emit: Callable[[Finding], None]) -> None:
         self.machine = machine
         self._emit = emit
-        self._patches = PatchSet()
+        self._subs = Subscriptions()
         #: line -> nodes believed to hold it M/E (pre-filter index)
         self._owners: dict[int, set[int]] = {}
         self._seen: set[tuple] = set()
@@ -58,61 +59,31 @@ class CoherenceSanitizer:
 
     # ------------------------------------------------------------------
     def _attach(self) -> None:
+        sub = self._subs.add
         for node_obj in self.machine.nodes:
             cache = node_obj.cache
             directory = node_obj.directory
             node = node_obj.node_id
 
-            def make_fill(orig, node=node):
-                def checked_fill(line, state):
-                    victim = orig(line, state)
-                    self._note_state(line, node, state)
-                    return victim
+            def note_state(line, state, node=node):
+                self._note_state(line, node, state)
 
-                return checked_fill
-
-            def make_set_state(orig, node=node):
-                def checked_set_state(line, state):
-                    orig(line, state)
-                    self._note_state(line, node, state)
-
-                return checked_set_state
-
-            def make_invalidate(orig, node=node):
-                def checked_invalidate(line):
-                    prior = orig(line)
+            def flushed(dropped, node=node):
+                for line, _prior in dropped:
                     self._drop(line, node)
-                    return prior
 
-                return checked_invalidate
+            def mutated(line, directory=directory, node=node):
+                self._check_entry(directory, line, node)
 
-            def make_flush_range(orig, node=node):
-                def checked_flush_range(addr, nbytes):
-                    dropped = orig(addr, nbytes)
-                    for line, _prior in dropped:
-                        self._drop(line, node)
-                    return dropped
-
-                return checked_flush_range
-
-            self._patches.patch(cache, "fill", make_fill)
-            self._patches.patch(cache, "set_state", make_set_state)
-            self._patches.patch(cache, "invalidate", make_invalidate)
-            self._patches.patch(cache, "flush_range", make_flush_range)
-
-            def make_dir_mut(orig, directory=directory, node=node):
-                def checked_mut(line, *args, **kwargs):
-                    result = orig(line, *args, **kwargs)
-                    self._check_entry(directory, line, node)
-                    return result
-
-                return checked_mut
-
-            for meth in ("add_sharer", "set_exclusive", "clear", "drop_sharer"):
-                self._patches.patch(directory, meth, make_dir_mut)
+            sub(cache, "after_fill", note_state)
+            sub(cache, "after_set_state", note_state)
+            sub(cache, "after_invalidate", lambda line, node=node: self._drop(line, node))
+            sub(cache, "after_flush_range", flushed)
+            for point in Directory.PROBES:
+                sub(directory, point, mutated)
 
     def detach(self) -> None:
-        self._patches.restore()
+        self._subs.clear()
 
     # ------------------------------------------------------------------
     # Live checks

@@ -16,7 +16,7 @@ edge                                   where it is captured
 message ``Send`` → handler body        send-time clock snapshot attached
                                        to the launched ``Message``,
                                        joined when the handler first steps
-thread spawn / ``Suspend`` resume      patched ``_enqueue_ready`` joins
+thread spawn / ``Suspend`` resume      ``before_enqueue`` probe joins
                                        the enqueuing context's clock
 ``StoreRelease`` → ``LoadAcquire``     per-address release clock
 (locks, SM barriers, SM queues, ...)   (``signal``/``observe`` on the
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.check.report import Finding
 from repro.proc import effects as fx
-from repro.trace.patch import PatchSet
+from repro.sim.probe import Subscriptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -102,10 +102,10 @@ def _site(ctx: "Context") -> str:
 class RaceDetector:
     """Happens-before race detector for one machine.
 
-    Attaches (via :class:`~repro.trace.patch.PatchSet`) to every
-    processor's ``_step``/``_execute``/``_enqueue_ready``/``_finish``
-    and every CMMU's ``launch``; registers itself as a
-    :mod:`repro.check.hooks` sink for runtime-level edges.
+    Subscribes to every processor's step, execute, enqueue and finish
+    probes and every CMMU's ``after_launch`` (:mod:`repro.sim.probe`);
+    registers itself as a :mod:`repro.check.hooks` sink for
+    runtime-level edges.
     """
 
     name = "race"
@@ -113,7 +113,7 @@ class RaceDetector:
     def __init__(self, machine: "Machine", emit: Callable[[Finding], None]) -> None:
         self.machine = machine
         self._emit = emit
-        self._patches = PatchSet()
+        self._subs = Subscriptions()
         #: cid -> vector clock {cid: epoch}
         self._vc: dict[int, dict[int, int]] = {}
         #: cid -> sync addresses whose release clock must be re-joined
@@ -137,81 +137,61 @@ class RaceDetector:
         self._attach()
 
     # ------------------------------------------------------------------
-    # Patching
+    # Probe subscriptions
     # ------------------------------------------------------------------
     def _attach(self) -> None:
+        sub = self._subs.add
         for node_obj in self.machine.nodes:
             proc = node_obj.processor
 
-            def make_step(orig):
-                def checked_step(ctx, send_value):
-                    if ctx.cid not in self._vc:
-                        vc = self._vc[ctx.cid] = {ctx.cid: 1}
-                        clock = getattr(ctx.msg, "_hb_clock", None)
-                        if clock:
-                            _join(vc, clock)
-                    self._active.append(ctx)
-                    try:
-                        orig(ctx, send_value)
-                    finally:
-                        self._active.pop()
+            def execute(ctx, eff, node=node_obj.node_id):
+                kind = _ACCESS_KIND.get(eff.__class__)
+                if kind is not None:
+                    self._access(ctx, eff.addr, kind, node)
+                elif eff.__class__ is fx.Send:
+                    self._on_send(ctx, eff)
+                elif eff.__class__ is fx.Suspend:
+                    self._flush(ctx.cid)
 
-                return checked_step
+            sub(proc, "before_step", self._step_begin)
+            sub(proc, "after_step", self._step_end)
+            sub(proc, "before_execute", execute)
+            sub(proc, "before_enqueue", self._enqueue)
+            sub(proc, "after_finish", self._finished)
+            sub(node_obj.cmmu, "after_launch", self._launched)
 
-            def make_execute(orig, node=node_obj.node_id):
-                def checked_execute(ctx, eff):
-                    kind = _ACCESS_KIND.get(eff.__class__)
-                    if kind is not None:
-                        self._access(ctx, eff.addr, kind, node)
-                    elif eff.__class__ is fx.Send:
-                        self._on_send(ctx, eff)
-                    elif eff.__class__ is fx.Suspend:
-                        self._flush(ctx.cid)
-                    orig(ctx, eff)
+    def _step_begin(self, ctx: "Context") -> None:
+        if ctx.cid not in self._vc:
+            vc = self._vc[ctx.cid] = {ctx.cid: 1}
+            clock = getattr(ctx.msg, "_hb_clock", None)
+            if clock:
+                _join(vc, clock)
+        self._active.append(ctx)
 
-                return checked_execute
+    def _step_end(self, ctx: "Context") -> None:
+        self._active.pop()
 
-            def make_enqueue(orig):
-                def checked_enqueue(ctx, value, resumed, front=False):
-                    if self._active:
-                        src = self._active[-1]
-                        svc = self._vc.get(src.cid)
-                        if svc is not None and src is not ctx:
-                            self._flush(src.cid)
-                            tvc = self._vc.setdefault(ctx.cid, {ctx.cid: 1})
-                            _join(tvc, svc)
-                            svc[src.cid] = svc.get(src.cid, 0) + 1
-                    orig(ctx, value, resumed, front=front)
+    def _enqueue(self, ctx: "Context", resumed: bool) -> None:
+        if self._active:
+            src = self._active[-1]
+            svc = self._vc.get(src.cid)
+            if svc is not None and src is not ctx:
+                self._flush(src.cid)
+                tvc = self._vc.setdefault(ctx.cid, {ctx.cid: 1})
+                _join(tvc, svc)
+                svc[src.cid] = svc.get(src.cid, 0) + 1
 
-                return checked_enqueue
+    def _finished(self, ctx: "Context") -> None:
+        self._vc.pop(ctx.cid, None)
+        self._pending.pop(ctx.cid, None)
 
-            def make_finish(orig):
-                def checked_finish(ctx, result):
-                    orig(ctx, result)
-                    self._vc.pop(ctx.cid, None)
-                    self._pending.pop(ctx.cid, None)
-
-                return checked_finish
-
-            self._patches.patch(proc, "_step", make_step)
-            self._patches.patch(proc, "_execute", make_execute)
-            self._patches.patch(proc, "_enqueue_ready", make_enqueue)
-            self._patches.patch(proc, "_finish", make_finish)
-
-            def make_launch(orig):
-                def checked_launch(dst, mtype, operands=(), blocks=None):
-                    msg = orig(dst, mtype, operands, blocks)
-                    fifo = self._send_clocks.get((dst, mtype, id(operands)))
-                    if fifo:
-                        msg._hb_clock = fifo.popleft()
-                    return msg
-
-                return checked_launch
-
-            self._patches.patch(node_obj.cmmu, "launch", make_launch)
+    def _launched(self, dst: int, mtype: str, operands, msg) -> None:
+        fifo = self._send_clocks.get((dst, mtype, id(operands)))
+        if fifo:
+            msg._hb_clock = fifo.popleft()
 
     def detach(self) -> None:
-        self._patches.restore()
+        self._subs.clear()
 
     def finalize(self) -> None:
         """No quiescence checks of its own (races are reported live)."""

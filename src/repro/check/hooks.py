@@ -2,8 +2,9 @@
 
 Synchronization objects built *after* a machine was observed (futures,
 tasks, message barriers and reductions — the runtime constructs them
-on demand) cannot be method-patched by the checker at attach time.
-Instead they announce their ordering edges through this module:
+on demand) have no probe points for the checker to subscribe to at
+attach time. Instead they announce their ordering edges through this
+module:
 
 * ``signal(key)`` — "everything I did so far happens-before whoever
   observes ``key``" (a future resolving, a barrier arrival).

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.check.hb import _site
 from repro.check.report import Finding
 from repro.proc import effects as fx
-from repro.trace.patch import PatchSet
+from repro.sim.probe import Subscriptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -54,7 +54,7 @@ class DeadlockWatchdog:
         self.spin_limit = spin_limit
         self.suspend_timeout = suspend_timeout
         self.tick_interval = tick_interval
-        self._patches = PatchSet()
+        self._subs = Subscriptions()
         #: cid -> consecutive spin-looking effects
         self._spin: dict[int, int] = {}
         #: cid -> (suspend time, site, node, label)
@@ -70,61 +70,49 @@ class DeadlockWatchdog:
         for node_obj in self.machine.nodes:
             proc = node_obj.processor
 
-            def make_execute(orig, node=node_obj.node_id):
-                def watched_execute(ctx, eff):
-                    cid = ctx.cid
-                    if isinstance(eff, _SPIN_EFFECTS):
-                        count = self._spin.get(cid, 0) + 1
-                        self._spin[cid] = count
-                        if count == self.spin_limit and cid not in self._flagged_spin:
-                            self._flagged_spin.add(cid)
-                            self._emit(Finding(
-                                checker=self.name,
-                                kind="spin-starvation",
-                                time=self.machine.sim.now,
-                                node=node,
-                                addr=getattr(eff, "addr", None),
-                                message=(
-                                    f"context {ctx.label or ctx.cid!r} issued "
-                                    f"{count} consecutive load/compute effects "
-                                    "without progress (unbounded spin?)"
-                                ),
-                                sites=(_site(ctx),),
-                            ))
-                    else:
-                        self._spin.pop(cid, None)
-                        if eff.__class__ is fx.Suspend:
-                            self._suspended[cid] = (
-                                self.machine.sim.now, _site(ctx),
-                                node, ctx.label,
-                            )
-                    orig(ctx, eff)
+            def execute(ctx, eff, node=node_obj.node_id):
+                cid = ctx.cid
+                if isinstance(eff, _SPIN_EFFECTS):
+                    count = self._spin.get(cid, 0) + 1
+                    self._spin[cid] = count
+                    if count == self.spin_limit and cid not in self._flagged_spin:
+                        self._flagged_spin.add(cid)
+                        self._emit(Finding(
+                            checker=self.name,
+                            kind="spin-starvation",
+                            time=self.machine.sim.now,
+                            node=node,
+                            addr=getattr(eff, "addr", None),
+                            message=(
+                                f"context {ctx.label or ctx.cid!r} issued "
+                                f"{count} consecutive load/compute effects "
+                                "without progress (unbounded spin?)"
+                            ),
+                            sites=(_site(ctx),),
+                        ))
+                else:
+                    self._spin.pop(cid, None)
+                    if eff.__class__ is fx.Suspend:
+                        self._suspended[cid] = (
+                            self.machine.sim.now, _site(ctx),
+                            node, ctx.label,
+                        )
 
-                return watched_execute
+            self._subs.add(proc, "before_execute", execute)
+            self._subs.add(proc, "before_enqueue", self._enqueued)
+            self._subs.add(proc, "after_finish", self._finished)
 
-            def make_enqueue(orig):
-                def watched_enqueue(ctx, value, resumed, front=False):
-                    if resumed:
-                        self._suspended.pop(ctx.cid, None)
-                    orig(ctx, value, resumed, front=front)
+    def _enqueued(self, ctx, resumed: bool) -> None:
+        if resumed:
+            self._suspended.pop(ctx.cid, None)
 
-                return watched_enqueue
-
-            def make_finish(orig):
-                def watched_finish(ctx, result):
-                    orig(ctx, result)
-                    self._spin.pop(ctx.cid, None)
-                    self._suspended.pop(ctx.cid, None)
-
-                return watched_finish
-
-            self._patches.patch(proc, "_execute", make_execute)
-            self._patches.patch(proc, "_enqueue_ready", make_enqueue)
-            self._patches.patch(proc, "_finish", make_finish)
+    def _finished(self, ctx) -> None:
+        self._spin.pop(ctx.cid, None)
+        self._suspended.pop(ctx.cid, None)
 
     def detach(self) -> None:
         self._stopped = True
-        self._patches.restore()
+        self._subs.clear()
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:

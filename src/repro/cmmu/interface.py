@@ -45,6 +45,12 @@ class CmmuStats:
 class Cmmu:
     """Per-node network coprocessor."""
 
+    #: probe points (repro.sim.probe); after_launch fires with
+    #: (dst, mtype, operands, msg) once a message is injected
+    PROBES = ("after_launch",)
+    __slots__ = ("sim", "node", "network", "coherence", "store", "p", "dma",
+                 "in_queue", "on_message", "stats", *PROBES)
+
     def __init__(
         self,
         sim: Simulator,
@@ -67,6 +73,7 @@ class Cmmu:
         #: available for dispatch; the processor decides when to take it
         self.on_message: Callable[[], None] | None = None
         self.stats = CmmuStats()
+        self.after_launch = ()
         network.attach(node, self._sink)
 
     def register_metrics(self, reg, **labels) -> None:
@@ -147,6 +154,8 @@ class Cmmu:
                 payload=msg,
             )
             self.network.send(packet)
+        for fn in self.after_launch:
+            fn(dst, mtype, operands, msg)
         return msg
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Seeded fault injection at the network boundary.
 
-The :class:`FaultInjector` wraps ``Network.send`` of *one machine*
-(same attach/detach contract as the tracer: an injected machine runs
-modified paths, every other machine runs the exact original code) and
-perturbs eligible packets according to a :class:`FaultPlan`:
+The :class:`FaultInjector` is a send policy: attaching installs it in
+the ``faults`` slot of *one machine's* fabric, where ``Network.send``
+hands it every packet before injecting. It perturbs eligible packets
+according to a :class:`FaultPlan`, and the fabric's send probes (and
+so any tracer or sampler) see only what it really injects:
 
 * **drop** — the packet vanishes at injection; nothing is delivered.
 * **duplicate** — the packet is delivered normally *and* a clone is
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from repro.faults.plan import FaultPlan, FaultRates
 from repro.machine.machine import Machine
 from repro.network.packet import Packet
-from repro.trace.patch import PatchSet
 from repro.trace.tracer import Tracer
 
 
@@ -59,21 +59,24 @@ class FaultInjector:
         self.tracer = tracer
         self.rng = random.Random(plan.seed)
         self.log: list[FaultEvent] = []
-        self._patches = PatchSet()
+        #: pids of packets this policy itself re-injects later (a held
+        #: back packet, a duplicate's clone): they pass without a roll
+        self._released: set[int] = set()
         self._stall_handles: list = []
         self.attach()
 
     # ------------------------------------------------------------------
-    # Attach / detach (tracer contract)
+    # Attach / detach
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
-        return self._patches.active
+        return self.machine.network.faults is self
 
     def attach(self) -> None:
-        if self.attached:
-            raise RuntimeError("fault injector is already attached")
-        self._patches.patch(self.machine.network, "send", self._make_faulty_send)
+        net = self.machine.network
+        if net.faults is not None:
+            raise RuntimeError("a fault policy is already installed on this fabric")
+        net.faults = self
         sim = self.machine.sim
         for stall in self.plan.stalls:
             handle = sim.schedule(
@@ -83,9 +86,10 @@ class FaultInjector:
             self._stall_handles.append(handle)
 
     def detach(self) -> None:
-        """Restore the pristine send path; pending stall triggers are
-        cancelled (faults already in flight still land)."""
-        self._patches.restore()
+        """Uninstall the policy; pending stall triggers are cancelled
+        (faults already in flight still land). Idempotent."""
+        if self.attached:
+            self.machine.network.faults = None
         for handle in self._stall_handles:
             handle.cancel()
         self._stall_handles.clear()
@@ -112,71 +116,78 @@ class FaultInjector:
                 return name
         return None
 
-    def _make_faulty_send(self, orig_send):
+    def route(self, packet: Packet) -> int | None:
+        """Decide ``packet``'s fate (called by ``Network.send``): None
+        lets the fabric inject it now; otherwise it was dropped or held
+        back, and the returned cycle is what ``send`` reports."""
+        if packet.pid in self._released:
+            self._released.discard(packet.pid)
+            return None
         plan = self.plan
+        if not plan.eligible(packet.kind):
+            return None
         net = self.machine.network
         sim = self.machine.sim
-
-        def faulty_send(packet: Packet) -> int:
-            if not plan.eligible(packet.kind):
-                return orig_send(packet)
-            route = (
-                net.mesh.route(packet.src, packet.dst)
-                if packet.src != packet.dst
-                else []
+        route = (
+            net.mesh.route(packet.src, packet.dst)
+            if packet.src != packet.dst
+            else []
+        )
+        dead = plan.dead_link(route, sim.now)
+        if dead is not None:
+            net.stats.outage_drops += 1
+            self._record(
+                packet.src, "outage",
+                f"{packet.kind.value}->{packet.dst} on link {dead[0]}->{dead[1]}",
+                packet.pid,
             )
-            dead = plan.dead_link(route, sim.now)
-            if dead is not None:
-                net.stats.outage_drops += 1
-                self._record(
-                    packet.src, "outage",
-                    f"{packet.kind.value}->{packet.dst} on link {dead[0]}->{dead[1]}",
-                    packet.pid,
-                )
-                return sim.now  # lost: nothing arrives
-            fate = self._roll(plan.rates_for(packet.kind))
-            if fate is None:
-                for link in route:
-                    extra = plan.link_rates.get(link)
-                    if extra is not None:
-                        fate = self._roll(extra)
-                        if fate is not None:
-                            break
-            if fate is None:
-                return orig_send(packet)
-            what = f"{packet.kind.value}->{packet.dst}"
-            if fate == "drop":
-                net.stats.dropped += 1
-                self._record(packet.src, "drop", what, packet.pid)
-                return sim.now  # lost: nothing arrives
-            if fate == "duplicate":
-                net.stats.duplicated += 1
-                lag = self.rng.randint(*plan.duplicate_lag)
-                clone = Packet(
-                    src=packet.src,
-                    dst=packet.dst,
-                    kind=packet.kind,
-                    size_words=packet.size_words,
-                    payload=packet.payload,
-                    cycles_per_word_override=packet.cycles_per_word_override,
-                )
-                self._record(
-                    packet.src, "duplicate", f"{what} +{lag}cyc", packet.pid
-                )
-                sim.schedule(lag, lambda: orig_send(clone))
-                return orig_send(packet)
-            # delay and reorder are both hold-backs; they differ in scale
-            if fate == "delay":
-                hold = self.rng.randint(*plan.delay_range)
-                net.stats.delayed += 1
-            else:
-                hold = self.rng.randint(*plan.reorder_range)
-                net.stats.reordered += 1
-            self._record(packet.src, fate, f"{what} +{hold}cyc", packet.pid)
-            sim.schedule(hold, lambda: orig_send(packet))
-            return sim.now + hold  # injection time; real arrival is later
+            return sim.now  # lost: nothing arrives
+        fate = self._roll(plan.rates_for(packet.kind))
+        if fate is None:
+            for link in route:
+                extra = plan.link_rates.get(link)
+                if extra is not None:
+                    fate = self._roll(extra)
+                    if fate is not None:
+                        break
+        if fate is None:
+            return None
+        what = f"{packet.kind.value}->{packet.dst}"
+        if fate == "drop":
+            net.stats.dropped += 1
+            self._record(packet.src, "drop", what, packet.pid)
+            return sim.now  # lost: nothing arrives
+        if fate == "duplicate":
+            net.stats.duplicated += 1
+            lag = self.rng.randint(*plan.duplicate_lag)
+            clone = Packet(
+                src=packet.src,
+                dst=packet.dst,
+                kind=packet.kind,
+                size_words=packet.size_words,
+                payload=packet.payload,
+                cycles_per_word_override=packet.cycles_per_word_override,
+            )
+            self._record(
+                packet.src, "duplicate", f"{what} +{lag}cyc", packet.pid
+            )
+            self._reinject(lag, clone)
+            return None
+        # delay and reorder are both hold-backs; they differ in scale
+        if fate == "delay":
+            hold = self.rng.randint(*plan.delay_range)
+            net.stats.delayed += 1
+        else:
+            hold = self.rng.randint(*plan.reorder_range)
+            net.stats.reordered += 1
+        self._record(packet.src, fate, f"{what} +{hold}cyc", packet.pid)
+        self._reinject(hold, packet)
+        return sim.now + hold  # injection time; real arrival is later
 
-        return faulty_send
+    def _reinject(self, delay: int, packet: Packet) -> None:
+        self._released.add(packet.pid)
+        net = self.machine.network
+        self.machine.sim.schedule(delay, lambda: net.send(packet))
 
     # ------------------------------------------------------------------
     def _begin_stall(self, stall) -> None:

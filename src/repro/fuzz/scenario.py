@@ -25,9 +25,9 @@ Three outcomes short-circuit to a verdict:
   per-primitive self-check failures, and (when the scenario asks)
   the macro-vs-micro differential comparison.
 
-Macro-vs-micro: a checked run instance-patches ``Processor._execute``,
-which forces the batch runner down the per-element micro path; the
-unchecked replay takes the macro path. The two are guaranteed
+Macro-vs-micro: a checked run subscribes to the processor's effect
+probes, which forces the batch runner down the per-element micro path;
+the unchecked replay takes the macro path. The two are guaranteed
 cycle-identical, so ``diff_macro`` replays the scenario without
 checkers and compares cycles and results — any daylight is a bug in
 the batch runner's equivalence, found for free.

@@ -47,6 +47,15 @@ class CacheStats:
 class Cache:
     """LRU cache over line base addresses."""
 
+    #: probe points (repro.sim.probe), fired once the mutator has run:
+    #: after_fill and after_set_state with (line, state),
+    #: after_invalidate with (line,), after_flush_range with the
+    #: ``(line, prior_state)`` pairs it dropped
+    PROBES = ("after_fill", "after_set_state", "after_invalidate",
+              "after_flush_range")
+    __slots__ = ("node", "capacity_lines", "line_size", "_lines", "stats",
+                 *PROBES)
+
     def __init__(self, node: int, capacity_lines: int, line_size: int = 16) -> None:
         if capacity_lines <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_lines}")
@@ -58,6 +67,8 @@ class Cache:
         # line base address -> state; OrderedDict gives us LRU order.
         self._lines: OrderedDict[int, LineState] = OrderedDict()
         self.stats = CacheStats()
+        for point in self.PROBES:
+            setattr(self, point, ())
 
     # ------------------------------------------------------------------
     def state(self, line: int) -> LineState:
@@ -107,6 +118,8 @@ class Cache:
                 victim_dirty = victim
         self._lines[line] = state
         self._lines.move_to_end(line)
+        for fn in self.after_fill:
+            fn(line, state)
         return victim_dirty
 
     def set_state(self, line: int, state: LineState) -> None:
@@ -117,12 +130,16 @@ class Cache:
             self._lines[line] = state
         else:
             raise KeyError(f"line {line:#x} not present in cache of node {self.node}")
+        for fn in self.after_set_state:
+            fn(line, state)
 
     def invalidate(self, line: int) -> LineState:
         """Drop ``line``; returns its prior state (protocol inv or DMA flush)."""
         prior = self._lines.pop(line, LineState.INVALID)
         if prior is not LineState.INVALID:
             self.stats.invalidations_received += 1
+        for fn in self.after_invalidate:
+            fn(line)
         return prior
 
     def flush_range(self, addr: int, nbytes: int) -> list[tuple[int, LineState]]:
@@ -139,6 +156,8 @@ class Cache:
             prior = self._lines.pop(line, LineState.INVALID)
             if prior is not LineState.INVALID:
                 dropped.append((line, prior))
+        for fn in self.after_flush_range:
+            fn(dropped)
         return dropped
 
     def resident_lines(self) -> list[int]:

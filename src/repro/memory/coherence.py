@@ -208,6 +208,10 @@ class CoherenceEngine:
     """Machine-wide coherence protocol engine (logically centralized,
     physically distributed timing)."""
 
+    #: probe points (repro.sim.probe): before_access fires with
+    #: (node, addr, kind) as a processor access enters the engine
+    PROBES = ("before_access",)
+
     def __init__(
         self,
         sim: Simulator,
@@ -235,6 +239,7 @@ class CoherenceEngine:
         #: None on serial runs
         self.shard = None
         self.stats = CoherenceStats()
+        self.before_access = ()
 
     # ------------------------------------------------------------------
     def add_node(
@@ -281,6 +286,9 @@ class CoherenceEngine:
         transaction state, no event record, no heap round-trip — while
         retiring at exactly the same simulated cycle as before.
         """
+        if self.before_access:
+            for fn in self.before_access:
+                fn(node, addr, kind)
         line = addr & self._line_mask
         cache = self.caches[node]
 

@@ -48,6 +48,12 @@ class DirectoryStats:
 class Directory:
     """Directory for all lines homed at ``node``."""
 
+    #: probe points (repro.sim.probe): each fires with (line,) once its
+    #: mutator has run
+    PROBES = ("after_add_sharer", "after_set_exclusive", "after_clear",
+              "after_drop_sharer")
+    __slots__ = ("node", "hw_pointers", "_entries", "stats", *PROBES)
+
     def __init__(self, node: int, hw_pointers: int = 5) -> None:
         if hw_pointers < 1:
             raise ValueError(f"need at least one hardware pointer, got {hw_pointers}")
@@ -55,6 +61,8 @@ class Directory:
         self.hw_pointers = hw_pointers
         self._entries: dict[int, DirEntry] = {}
         self.stats = DirectoryStats()
+        for point in self.PROBES:
+            setattr(self, point, ())
 
     def entry(self, line: int) -> DirEntry:
         self.stats.lookups += 1
@@ -99,10 +107,12 @@ class Directory:
         e.sharers.add(node)
         e.state = DirState.SHARED
         e.owner = None
-        if len(e.sharers) > self.hw_pointers:
+        overflow = len(e.sharers) > self.hw_pointers
+        if overflow:
             self.stats.software_traps += 1
-            return True
-        return False
+        for fn in self.after_add_sharer:
+            fn(line)
+        return overflow
 
     def set_exclusive(self, line: int, node: int) -> None:
         self.stats.lookups += 1
@@ -112,6 +122,8 @@ class Directory:
         e.state = DirState.EXCLUSIVE
         e.owner = node
         e.sharers.clear()
+        for fn in self.after_set_exclusive:
+            fn(line)
 
     def clear(self, line: int) -> None:
         """Return the line to UNOWNED (after writeback/invalidation)."""
@@ -122,6 +134,8 @@ class Directory:
         e.state = DirState.UNOWNED
         e.owner = None
         e.sharers.clear()
+        for fn in self.after_clear:
+            fn(line)
 
     def drop_sharer(self, line: int, node: int) -> None:
         self.stats.lookups += 1
@@ -131,6 +145,8 @@ class Directory:
         e.sharers.discard(node)
         if not e.sharers and e.state is DirState.SHARED:
             e.state = DirState.UNOWNED
+        for fn in self.after_drop_sharer:
+            fn(line)
 
     def sharers_to_invalidate(self, line: int, excluding: int) -> list[int]:
         """Sharer list minus ``excluding``, in deterministic order."""

@@ -30,9 +30,9 @@ DeliverFn = Callable[[Packet], None]
 class NetworkStats:
     """Aggregate traffic counters.
 
-    The fault counters are bumped by an attached
-    :class:`~repro.faults.FaultInjector`; they stay zero on a healthy
-    fabric.
+    The fault counters are bumped by an installed
+    :class:`~repro.faults.FaultInjector` send policy; they stay zero
+    on a healthy fabric.
     """
 
     packets: int = 0
@@ -77,6 +77,11 @@ class NetworkStats:
 class Network:
     """The mesh interconnect: injects packets, delivers to node sinks."""
 
+    #: probe points (repro.sim.probe), fired only for packets the
+    #: fabric really injects: before_send with (packet,), after_send
+    #: with (packet, arrival)
+    PROBES = ("before_send", "after_send")
+
     def __init__(
         self,
         sim: Simulator,
@@ -109,6 +114,10 @@ class Network:
         #: set by Machine when this fabric belongs to a partition shard
         #: (see repro.perf.partition.ShardView); None on serial runs
         self.shard = None
+        #: send policy deciding each packet's fate before injection (a
+        #: repro.faults.FaultInjector); None on a healthy fabric
+        self.faults = None
+        self.before_send = self.after_send = ()
 
     # ------------------------------------------------------------------
     def attach(self, node: int, sink: DeliverFn) -> None:
@@ -130,8 +139,16 @@ class Network:
         """Inject ``packet``; returns the (predicted) delivery cycle.
 
         Delivery invokes the destination node's sink exactly at the
-        returned cycle.
+        returned cycle. An installed fault policy sees the packet
+        first: ``faults.route(packet)`` returns None to let it through,
+        or the cycle to report for a packet it dropped or held back.
         """
+        if self.faults is not None:
+            held = self.faults.route(packet)
+            if held is not None:
+                return held
+        for fn in self.before_send:
+            fn(packet)
         if packet.dst not in self._sinks:
             raise SimulationError(f"no sink attached at node {packet.dst}")
         now = self.sim.now
@@ -155,7 +172,10 @@ class Network:
                 # Cross-shard: timing-walk the locally-owned links and
                 # hand the packet to the window barrier; the owning
                 # shard delivers it. Counts stats itself.
-                return shard.egress(self, packet, body_cycles)
+                arrival = shard.egress(self, packet, body_cycles)
+                for fn in self.after_send:
+                    fn(packet, arrival)
+                return arrival
             links = self._route_links.get((packet.src, packet.dst))
             if links is None:
                 links = [
@@ -185,6 +205,8 @@ class Network:
         stats.total_latency += arrival - now
         sink = self._sinks[packet.dst]
         self.sim.call_after(arrival - now, lambda: sink(packet))
+        for fn in self.after_send:
+            fn(packet, arrival)
         return arrival
 
     def min_cross_latency(self) -> int:

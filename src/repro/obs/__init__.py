@@ -16,10 +16,10 @@ The four pillars (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export
   and the machine-readable ``run.json`` manifest.
 
-Everything is pay-for-what-you-use: an unobserved machine runs the
-exact original code (the profiler and tracer wrap methods of one
-machine's instances via :class:`~repro.trace.patch.PatchSet`), and
-attaching observers never changes simulated cycle counts.
+Everything is pay-for-what-you-use: an unobserved machine runs no
+observer code (the profiler, sampler and tracer subscribe to one
+machine's probe points, :mod:`repro.sim.probe`), and attaching
+observers never changes simulated cycle counts.
 """
 
 from repro.obs.metrics import (

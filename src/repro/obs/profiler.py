@@ -8,18 +8,18 @@ total simulated cycles (a property the tests and the ``run.json``
 validator both enforce).
 
 Mechanism: a per-node state machine driven from the processor's
-dict-dispatch hot path. The profiler wraps three methods of each
-node's processor via :class:`~repro.trace.patch.PatchSet` — exactly
-like the tracer, so an unprofiled machine runs the pristine code:
+dict-dispatch hot path. The profiler subscribes to three probe points
+of each node's processor (:mod:`repro.sim.probe`) — exactly like the
+tracer, so an unprofiled machine runs no profiler code:
 
-* ``_execute`` — effect dispatch: each effect moves the node into the
-  bucket for that effect class (``Load``/``Store``/``FetchOp`` resolve
-  to ``cache_hit`` or ``miss_stall`` from the post-dispatch
+* ``after_execute`` — effect dispatch: each effect moves the node into
+  the bucket for that effect class (``Load``/``Store``/``FetchOp``
+  resolve to ``cache_hit`` or ``miss_stall`` from the post-dispatch
   ``ctx.miss_pending`` flag; effects inside a message handler charge
   the ``handler`` bucket).
-* ``_enter_handler`` — interrupt entry: moves into ``handler``.
-* ``_dispatch`` — when the dispatcher finds nothing to run, moves into
-  ``idle``.
+* ``before_handler`` — interrupt entry: moves into ``handler``.
+* ``after_dispatch`` — when the dispatcher finds nothing to run, moves
+  into ``idle``.
 
 On every transition the interval since the previous transition is
 charged to the outgoing bucket (and, in parallel, to the outgoing
@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.proc import effects as fx
-from repro.trace.patch import PatchSet
+from repro.sim.probe import Subscriptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -92,10 +92,11 @@ _EFFECT_BUCKET = {
 class _NodeAccount:
     """Charge-on-transition accountant for one node's pipeline."""
 
-    __slots__ = ("sim", "buckets", "by_effect", "state", "effect", "last")
+    __slots__ = ("sim", "proc", "buckets", "by_effect", "state", "effect", "last")
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim, proc) -> None:
         self.sim = sim
+        self.proc = proc
         self.buckets = dict.fromkeys(BUCKETS, 0)
         self.by_effect: dict[str, int] = {}
         self.state = "idle"
@@ -119,6 +120,23 @@ class _NodeAccount:
         """Charge the open interval through ``sim.now`` (idempotent)."""
         self.transition(self.state, self.effect)
 
+    # -- probe callbacks -------------------------------------------------
+    def executed(self, ctx, eff) -> None:
+        if ctx.is_handler:
+            self.transition("handler", type(eff).__name__)
+            return
+        bucket = _EFFECT_BUCKET.get(eff.__class__)
+        if bucket is None:
+            bucket = "miss_stall" if ctx.miss_pending else "cache_hit"
+        self.transition(bucket, type(eff).__name__)
+
+    def handler_entered(self, msg) -> None:
+        self.transition("handler", "interrupt_entry")
+
+    def dispatched(self) -> None:
+        if self.proc.current is None and not self.proc.in_handler:
+            self.transition("idle")
+
 
 class CycleProfiler:
     """Attributes every simulated cycle of a machine to a bucket.
@@ -135,58 +153,29 @@ class CycleProfiler:
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        self.accounts = [_NodeAccount(machine.sim) for _ in machine.nodes]
-        self._patches = PatchSet()
+        self.accounts = [
+            _NodeAccount(machine.sim, n.processor) for n in machine.nodes
+        ]
+        self._subs = Subscriptions()
         self.attach()
 
     @property
     def attached(self) -> bool:
-        return self._patches.active
+        return self._subs.active
 
     def attach(self) -> None:
         if self.attached:
             raise RuntimeError("profiler is already attached")
-        for node_obj in self.machine.nodes:
-            proc = node_obj.processor
-            acct = self.accounts[node_obj.node_id]
-
-            def make_execute(orig, acct=acct):
-                def profiled_execute(ctx, eff):
-                    orig(ctx, eff)
-                    if ctx.is_handler:
-                        acct.transition("handler", type(eff).__name__)
-                        return
-                    bucket = _EFFECT_BUCKET.get(eff.__class__)
-                    if bucket is None:
-                        bucket = "miss_stall" if ctx.miss_pending else "cache_hit"
-                    acct.transition(bucket, type(eff).__name__)
-
-                return profiled_execute
-
-            def make_enter_handler(orig, acct=acct):
-                def profiled_enter():
-                    acct.transition("handler", "interrupt_entry")
-                    return orig()
-
-                return profiled_enter
-
-            def make_dispatch(orig, proc=proc, acct=acct):
-                def profiled_dispatch():
-                    orig()
-                    if proc.current is None and not proc.in_handler:
-                        acct.transition("idle")
-
-                return profiled_dispatch
-
-            self._patches.patch(proc, "_execute", make_execute)
-            self._patches.patch(proc, "_enter_handler", make_enter_handler)
-            self._patches.patch(proc, "_dispatch", make_dispatch)
+        for acct in self.accounts:
+            self._subs.add(acct.proc, "after_execute", acct.executed)
+            self._subs.add(acct.proc, "before_handler", acct.handler_entered)
+            self._subs.add(acct.proc, "after_dispatch", acct.dispatched)
 
     def detach(self) -> None:
-        """Remove the wrappers and settle open intervals. Idempotent."""
+        """Unsubscribe and settle open intervals. Idempotent."""
         for acct in self.accounts:
             acct.settle()
-        self._patches.restore()
+        self._subs.clear()
 
     def __enter__(self) -> "CycleProfiler":
         return self

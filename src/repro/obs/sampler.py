@@ -10,9 +10,9 @@ events fire while model work remains but never keep the run alive and
 never advance ``sim.now`` past the last model event, so a sampled
 machine reports exactly the same cycle counts as an unsampled one
 (the observed-vs-unobserved guard in ``tests/test_cycle_identity.py``
-pins this). Samples read existing counters only; the single wrapped
-method (``network.send``, to track in-flight packets) records into a
-local heap and calls straight through.
+pins this). Samples read existing counters only; the single probe
+subscription (the fabric's ``after_send``, to track in-flight packets)
+records into a local heap.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
-from repro.trace.patch import PatchSet
+from repro.sim.probe import Subscriptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -57,7 +57,7 @@ class TimeSampler:
         self.dropped = 0
         self._arrivals: list[int] = []  # min-heap of in-flight delivery times
         self._last = {"packets": 0, "link_busy": 0, "hits": 0, "misses": 0}
-        self._patches = PatchSet()
+        self._subs = Subscriptions()
         #: histograms fed per tick; adopted into the metrics snapshot
         self.histograms = (
             Histogram("sample.in_flight_packets",
@@ -71,28 +71,23 @@ class TimeSampler:
 
     @property
     def attached(self) -> bool:
-        return self._patches.active
+        return self._subs.active
 
     def attach(self) -> None:
         if self.attached:
             raise RuntimeError("sampler is already attached")
         arrivals = self._arrivals
 
-        def make_tracked_send(orig_send):
-            def tracked_send(packet):
-                arrival = orig_send(packet)
-                heapq.heappush(arrivals, arrival)
-                return arrival
+        def sent(packet, arrival):
+            heapq.heappush(arrivals, arrival)
 
-            return tracked_send
-
-        self._patches.patch(self.machine.network, "send", make_tracked_send)
+        self._subs.add(self.machine.network, "after_send", sent)
         self.machine.sim.call_daemon(self.interval, self._tick)
 
     def detach(self) -> None:
         """Stop tracking sends; any still-queued tick becomes a no-op
         at fire time (it never fires after the run anyway). Idempotent."""
-        self._patches.restore()
+        self._subs.clear()
 
     def __enter__(self) -> "TimeSampler":
         return self

@@ -101,34 +101,34 @@ class ObsSession:
         cfg = self.cfg
         if not cfg.enabled:
             return
-        profiler = CycleProfiler(machine) if cfg.profile else None
-        sampler = (
-            TimeSampler(machine, cfg.sample_interval, cfg.max_samples)
-            if cfg.sample_interval
-            else None
-        )
-        tracer = None
-        if cfg.trace:
-            from repro.trace.tracer import Tracer
-
-            tracer = Tracer(
-                machine, kinds=cfg.trace_kinds, max_events=cfg.max_trace_events
-            )
-        checkers = None
+        tracer = checkers = None
         if cfg.check:
             from repro.check import CheckerSet
 
-            # attach last (detach first): the checkers wrap some of the
-            # same processor methods the tracer/profiler wrap
+            # subscribed ahead of the tracer, so a finding raised as an
+            # effect issues is traced before that effect's own record
+            # (``tracer`` is bound below, before the machine runs)
             on_finding = None
-            if tracer is not None:
-                def on_finding(f, tracer=tracer):
+            if cfg.trace:
+                def on_finding(f):
                     tracer.record(f.node, "check", f.kind, f.message)
             checkers = CheckerSet(
                 machine,
                 checks=cfg.check,
                 max_findings=cfg.max_findings,
                 on_finding=on_finding,
+            )
+        profiler = CycleProfiler(machine) if cfg.profile else None
+        sampler = (
+            TimeSampler(machine, cfg.sample_interval, cfg.max_samples)
+            if cfg.sample_interval
+            else None
+        )
+        if cfg.trace:
+            from repro.trace.tracer import Tracer
+
+            tracer = Tracer(
+                machine, kinds=cfg.trace_kinds, max_events=cfg.max_trace_events
             )
         if label == "":
             label = f"m{len(self._observed) + len(self.records)}"
@@ -142,7 +142,8 @@ class ObsSession:
             "cycles": machine.sim.now,
         }
         if checkers is not None:
-            report = checkers.finalize()  # detaches before the tracer
+            # quiescence findings still reach the live tracer
+            report = checkers.finalize()
             out["check"] = report.as_dict()
             if self.check is None:
                 from repro.check import CheckReport

@@ -21,12 +21,13 @@ simply does not advance until the fill (or a handler's deferred drain)
 delivers the element's completion — the batch splits at the faulting
 element for free.
 
-Observability: when a tracer/profiler/checker has instance-patched the
-processor's ``_execute``, the batch materializes each element as a real
-micro effect object and feeds it through the patched ``_execute``, so
-observers see the exact per-element stream (same classes, same
-addresses, same cycles) a micro program produces. Unobserved runs take
-an inline fast path with identical timing.
+Observability: when an observer subscribes to the processor's effect
+probes or the coherence engine's access probe (:mod:`repro.sim.probe`),
+the batch materializes each element as a real micro effect object and
+feeds it through ``Processor._execute``, so observers see the exact
+per-element stream (same classes, same addresses, same cycles, every
+cache hit's access) a micro program produces. Unobserved runs take an
+inline fast path with identical timing.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ class _BatchBase:
     def __init__(self, proc: "Processor", ctx: "Context") -> None:
         self.proc = proc
         self.ctx = ctx
-        # instance-patched _execute == an observer wants the
-        # per-element effect stream
-        self.observed = "_execute" in proc.__dict__
+        # an observer wants the per-element effect (or access) stream
+        self.observed = bool(
+            proc.before_execute or proc.after_execute
+            or proc.coherence.before_access
+        )
         self._cb_plain = self._done_plain
         self._cb_read = self._done_read
         self._cb_fwd = self._done_fwd

@@ -74,6 +74,23 @@ class ProcessorStats:
 class Processor:
     """A single Alewife node's processor (Sparcle-like)."""
 
+    #: probe points (repro.sim.probe) and the arguments they fire with
+    PROBES = (
+        "before_step", "after_step",        # (ctx): around _step
+        "before_execute", "after_execute",  # (ctx, eff): around effect dispatch
+        "before_enqueue",                   # (ctx, resumed): joins the ready queue
+        "after_spawn",                      # (ctx): run_thread made a thread
+        "before_finish", "after_finish",    # (ctx): its generator returned
+        "before_handler",                   # (msg): a message handler starts
+        "after_dispatch",                   # (): the dispatcher ran
+    )
+    __slots__ = (
+        "sim", "node", "cmmu", "coherence", "store", "p", "handlers", "ready",
+        "current", "in_handler", "imask", "idle_hook", "_deferred",
+        "_dispatch_pending", "_stalled", "_store_buffer", "_store_slot_seq",
+        "_pending_writes", "_fence_waiters", "stats", *PROBES,
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -113,6 +130,8 @@ class Processor:
         #: contexts parked on a Fence (or a full buffer), resumed on drain
         self._fence_waiters: list[tuple[Context, bool]] = []
         self.stats = ProcessorStats()
+        for point in self.PROBES:
+            setattr(self, point, ())
         cmmu.on_message = self._message_available
 
     # ------------------------------------------------------------------
@@ -134,11 +153,15 @@ class Processor:
         gets to it."""
         ctx = Context(gen=gen, label=label, on_finish=on_finish)
         self._enqueue_ready(ctx, None, False, front=front)
+        for fn in self.after_spawn:
+            fn(ctx)
         return ctx
 
     def _enqueue_ready(
         self, ctx: Context, value: Any, resumed: bool, front: bool = False
     ) -> None:
+        for fn in self.before_enqueue:
+            fn(ctx, resumed)
         entry = (ctx, value, resumed)
         if front:
             self.ready.appendleft(entry)
@@ -177,14 +200,13 @@ class Processor:
     def _dispatch(self) -> None:
         self._dispatch_pending = False
         if self.busy:
-            return
+            pass
         # 1. pending message interrupts win (they would have trapped us
         #    the moment we became interruptible)
-        if self.cmmu.in_queue and not self.imask:
+        elif self.cmmu.in_queue and not self.imask:
             self._enter_handler()
-            return
         # 2. ready threads
-        if self.ready:
+        elif self.ready:
             ctx, value, resumed = self.ready.popleft()
             self.current = ctx
             self.stats.contexts_run += 1
@@ -193,17 +215,17 @@ class Processor:
                 self.sim.call_after(cost, lambda: self._step(ctx, value))
             else:
                 self._step(ctx, value)
-            return
         # 3. ask the runtime for idle work
-        if self.idle_hook is not None:
+        elif self.idle_hook is not None:
             gen = self.idle_hook()
             if gen is not None:
                 self.stats.idle_probes += 1
                 ctx = Context(gen=gen, label=f"idle@{self.node}")
                 self.current = ctx
                 self._step(ctx, None)
-                return
-        # 4. sleep until kicked
+        # 4. otherwise sleep until kicked
+        for fn in self.after_dispatch:
+            fn()
 
     # ------------------------------------------------------------------
     # Message interrupts
@@ -222,6 +244,8 @@ class Processor:
         if self.in_handler:  # pragma: no cover - guarded by callers
             raise SimulationError("nested handler entry")
         msg = self.cmmu.pop_message()
+        for fn in self.before_handler:
+            fn(msg)
         fn = self.handlers.get(msg.mtype)
         if fn is None:
             raise SimulationError(
@@ -281,51 +305,71 @@ class Processor:
         self._step(ctx, value)
 
     def _step(self, ctx: Context, send_value: Any) -> None:
-        # a context mid-macro-batch routes its completion to the batch
-        # runner instead of the generator (one resume per *loop*, not
-        # per element)
-        batch = ctx.batch
-        if batch is not None:
-            batch.step(send_value)
-            return
+        # _step, _execute and CoherenceEngine.access test a probe tuple
+        # before looping over it: they carry most probe-site traffic,
+        # and an empty-tuple loop costs several times the test
+        if self.before_step:
+            for fn in self.before_step:
+                fn(ctx)
         try:
-            eff = ctx.gen.send(send_value)
-        except StopIteration as stop:
-            self._finish(ctx, stop.value)
-            return
-        batch_cls = _BATCHES.get(eff.__class__)
-        if batch_cls is not None:
-            # macro-effect: start its batch runner. The envelope object
-            # deliberately bypasses _execute (observers see the
-            # per-element micro stream, not the wrapper) and is not
-            # counted in stats.effects — each element counts itself, so
-            # effect rates stay comparable with unbatched runs.
-            ctx.batch = batch_cls(self, ctx, eff)
-            ctx.batch.step(None)
-            return
-        self.stats.effects += 1
-        self._execute(ctx, eff)
+            # a context mid-macro-batch routes its completion to the
+            # batch runner instead of the generator (one resume per
+            # *loop*, not per element)
+            batch = ctx.batch
+            if batch is not None:
+                batch.step(send_value)
+                return
+            try:
+                eff = ctx.gen.send(send_value)
+            except StopIteration as stop:
+                self._finish(ctx, stop.value)
+                return
+            batch_cls = _BATCHES.get(eff.__class__)
+            if batch_cls is not None:
+                # macro-effect: start its batch runner. The envelope
+                # object deliberately bypasses _execute (observers see
+                # the per-element micro stream, not the envelope) and is
+                # not counted in stats.effects — each element counts
+                # itself, so effect rates stay comparable with
+                # unbatched runs.
+                ctx.batch = batch_cls(self, ctx, eff)
+                ctx.batch.step(None)
+                return
+            self.stats.effects += 1
+            self._execute(ctx, eff)
+        finally:
+            if self.after_step:
+                for fn in self.after_step:
+                    fn(ctx)
 
     def _finish(self, ctx: Context, result: Any) -> None:
+        for fn in self.before_finish:
+            fn(ctx)
         ctx.finished = True
-        if ctx.is_handler:
-            if ctx.on_finish is not None:  # pragma: no cover - unused path
-                ctx.on_finish(result)
-            self._exit_handler()
-            return
-        if self.current is ctx:
+        if not ctx.is_handler and self.current is ctx:
             self.current = None
         if ctx.on_finish is not None:
             ctx.on_finish(result)
-        self._schedule_dispatch()
+        if ctx.is_handler:
+            self._exit_handler()
+        else:
+            self._schedule_dispatch()
+        for fn in self.after_finish:
+            fn(ctx)
 
     def _execute(self, ctx: Context, eff) -> None:
+        if self.before_execute:
+            for fn in self.before_execute:
+                fn(ctx, eff)
         # per-class dict dispatch: one hash lookup instead of walking a
         # ~10-arm ``type(eff) is fx.X`` elif chain on every effect
         handler = _EFFECT_DISPATCH.get(eff.__class__)
         if handler is None:
             raise SimulationError(f"unknown effect {eff!r}")
         handler(self, ctx, eff)
+        if self.after_execute:
+            for fn in self.after_execute:
+                fn(ctx, eff)
 
     def _eff_compute(self, ctx: Context, eff) -> None:
         cycles = eff.cycles * self.p.compute_unit

@@ -213,11 +213,6 @@ class ExperimentExecutor:
         from repro.experiments import ALL_EXPERIMENTS
 
         exp_id, kwargs, obs_cfg = self.resolve(spec)
-        # 'partitions' is an execution strategy, not an input: a
-        # partitioned run produces the same results/artifacts as the
-        # serial run of the same spec (gated by the cycle-identity
-        # tests), so both dedupe onto one store entry.
-        kwargs.pop("partitions", None)
         descriptor = repr((EXECUTOR_SCHEMA, exp_id, sorted(kwargs.items())))
         fingerprint = code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__)
         payload = f"{descriptor}\n{fingerprint}\n{obs_cfg!r}"

@@ -1,6 +1,5 @@
 """Execution tracing (simulator-side hardware event probes)."""
 
-from repro.trace.patch import PatchSet
 from repro.trace.tracer import ALL_KINDS, TraceEvent, Tracer
 
-__all__ = ["ALL_KINDS", "PatchSet", "TraceEvent", "Tracer"]
+__all__ = ["ALL_KINDS", "TraceEvent", "Tracer"]

@@ -5,11 +5,11 @@ stream — effects executed, packets injected, coherence transactions,
 message-handler entries — for post-mortem analysis of an experiment
 (the simulator-side equivalent of Alewife's hardware event probes).
 
-The tracer wraps the relevant methods *of that machine's component
-instances only*; an untraced machine runs exactly the original code,
-and :meth:`Tracer.detach` removes the wrappers again so the machine
-can be re-used untraced (``with Tracer(m) as t: ...`` detaches
-automatically).
+The tracer subscribes to the probe points (:mod:`repro.sim.probe`)
+*of that machine's components only*; an untraced machine runs no
+tracer code, and :meth:`Tracer.detach` unsubscribes again so the
+machine can be re-used untraced (``with Tracer(m) as t: ...``
+detaches automatically).
 
     tracer = Tracer(machine, kinds={"packet", "handler"})
     ... run ...
@@ -17,7 +17,7 @@ automatically).
     tracer.to_jsonl("run.jsonl")
 
 The ``"fault"`` kind is recorded by an attached
-:class:`~repro.faults.FaultInjector`, not by the tracer's own wrappers.
+:class:`~repro.faults.FaultInjector`, not by the tracer's own probes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from repro.machine.machine import Machine
-from repro.trace.patch import PatchSet
+from repro.sim.probe import Subscriptions
 
 ALL_KINDS = frozenset(
     {"effect", "packet", "txn", "handler", "context", "fault", "check"}
@@ -69,7 +69,7 @@ class Tracer:
         self.max_events = max_events
         self.events: list[TraceEvent] = []
         self.dropped = 0
-        self._patches = PatchSet()
+        self._subs = Subscriptions()
         self.attach()
 
     # ------------------------------------------------------------------
@@ -85,101 +85,63 @@ class Tracer:
 
     @property
     def attached(self) -> bool:
-        return self._patches.active
+        return self._subs.active
 
     def attach(self) -> None:
-        """Install the method wrappers (done by ``__init__``)."""
+        """Subscribe to the probe points (done by ``__init__``)."""
         if self.attached:
             raise RuntimeError("tracer is already attached")
-        m = self.machine
-        if "packet" in self.kinds:
-            def make_traced_send(orig_send):
-                def traced_send(packet):
-                    self.record(
-                        packet.src, "packet", packet.kind.value,
-                        f"->{packet.dst} {packet.size_words}w",
-                    )
-                    return orig_send(packet)
+        m, kinds = self.machine, self.kinds
+        record, sub = self.record, self._subs.add
+        if "packet" in kinds:
+            def sent(packet):
+                record(packet.src, "packet", packet.kind.value,
+                       f"->{packet.dst} {packet.size_words}w")
 
-                return traced_send
+            sub(m.network, "before_send", sent)
+        if "txn" in kinds:
+            def access(node, addr, kind):
+                record(node, "txn", kind.value, f"@{addr:#x}")
 
-            self._patches.patch(m.network, "send", make_traced_send)
-        if "txn" in self.kinds:
-            def make_traced_access(orig_access):
-                def traced_access(node, addr, kind, on_done):
-                    self.record(node, "txn", kind.value, f"@{addr:#x}")
-                    return orig_access(node, addr, kind, on_done)
-
-                return traced_access
-
-            self._patches.patch(m.coherence, "access", make_traced_access)
+            sub(m.coherence, "before_access", access)
         for node_obj in m.nodes:
-            proc = node_obj.processor
-            if "effect" in self.kinds:
-                def make_traced_execute(orig, proc=proc):
-                    def traced(ctx, eff):
-                        self.record(
-                            proc.node, "effect", type(eff).__name__, ctx.label
-                        )
-                        return orig(ctx, eff)
+            proc, node = node_obj.processor, node_obj.node_id
+            if "effect" in kinds:
+                def execute(ctx, eff, node=node):
+                    record(node, "effect", type(eff).__name__, ctx.label)
 
-                    return traced
+                sub(proc, "before_execute", execute)
+            if "handler" in kinds:
+                def enter(msg, node=node):
+                    record(node, "handler", msg.mtype, f"from n{msg.src}")
 
-                self._patches.patch(proc, "_execute", make_traced_execute)
-            if "handler" in self.kinds:
-                def make_traced_enter(orig, proc=proc):
-                    def traced():
-                        if proc.cmmu.in_queue:
-                            msg = proc.cmmu.in_queue[0]
-                            self.record(
-                                proc.node, "handler", msg.mtype, f"from n{msg.src}"
-                            )
-                        return orig()
+                sub(proc, "before_handler", enter)
+            if "context" in kinds:
+                def spawn(ctx, node=node):
+                    record(node, "context", "spawn", f"{ctx.cid}:{ctx.label}")
 
-                    return traced
-
-                self._patches.patch(proc, "_enter_handler", make_traced_enter)
-            if "context" in self.kinds:
-                def make_traced_run(orig, proc=proc):
-                    def traced(gen, on_finish=None, label="", front=False):
-                        ctx = orig(gen, on_finish=on_finish, label=label, front=front)
-                        self.record(
-                            proc.node, "context", "spawn", f"{ctx.cid}:{label}"
-                        )
-                        return ctx
-
-                    return traced
-
-                self._patches.patch(proc, "run_thread", make_traced_run)
-            if "context" in self.kinds or "handler" in self.kinds:
+                sub(proc, "after_spawn", spawn)
+            if "context" in kinds or "handler" in kinds:
                 # end-of-life events so exporters can render duration
-                # spans: handler return (closes the entry recorded by
-                # ``_enter_handler``) and context finish (closes the
+                # spans: handler return (closes the entry recorded on
+                # handler entry) and context finish (closes the
                 # ``spawn`` with the same cid)
-                def make_traced_finish(orig, proc=proc):
-                    def traced(ctx, result):
-                        if ctx.is_handler:
-                            if "handler" in self.kinds:
-                                self.record(
-                                    proc.node, "handler",
-                                    ctx.msg.mtype if ctx.msg else ctx.label,
-                                    "return",
-                                )
-                        elif "context" in self.kinds:
-                            self.record(
-                                proc.node, "context", "finish",
-                                f"{ctx.cid}:{ctx.label}",
-                            )
-                        return orig(ctx, result)
+                def finish(ctx, node=node):
+                    if ctx.is_handler:
+                        if "handler" in kinds:
+                            record(node, "handler",
+                                   ctx.msg.mtype if ctx.msg else ctx.label,
+                                   "return")
+                    elif "context" in kinds:
+                        record(node, "context", "finish",
+                               f"{ctx.cid}:{ctx.label}")
 
-                    return traced
-
-                self._patches.patch(proc, "_finish", make_traced_finish)
+                sub(proc, "before_finish", finish)
 
     def detach(self) -> None:
-        """Remove the wrappers; the machine runs the original code
-        again. Recorded events stay available. Idempotent."""
-        self._patches.restore()
+        """Unsubscribe; the machine runs no tracer code again. Recorded
+        events stay available. Idempotent."""
+        self._subs.clear()
 
     def __enter__(self) -> Tracer:
         return self

@@ -383,10 +383,10 @@ class TestCheckerSet:
     def test_finalize_idempotent_and_detaches(self):
         m, cs = checked_machine()
         proc = m.processor(0)
-        assert "_execute" in proc.__dict__  # wrapped (instance attr)
+        assert proc.before_execute  # subscribed
         rep = cs.finalize()
         assert cs.finalize() is rep
-        assert "_execute" not in proc.__dict__  # pristine class methods back
+        assert proc.before_execute == ()  # unsubscribed
         assert hooks.SINKS == []
 
     def test_context_manager_finalizes(self):

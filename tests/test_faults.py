@@ -208,15 +208,22 @@ class TestAttachDetach:
             inj.attach()
 
     def test_stacked_wrappers_restore_lifo(self):
-        m, _ = ping_machine()
-        tracer = Tracer(m, kinds={"packet"})
-        inj = FaultInjector(m, lossy_plan(0.5))
-        # tracer attached first: detaching it under the injector's
-        # wrapper must be refused
-        with pytest.raises(RuntimeError):
-            tracer.detach()
-        inj.detach()
-        tracer.detach()
+        # tracer and fault policy stacked on one fabric: detaching them
+        # in LIFO order, or in attach order, restores the pristine send
+        for lifo in (True, False):
+            m, got = ping_machine()
+            tracer = Tracer(m, kinds={"packet"})
+            inj = FaultInjector(m, lossy_plan(1.0, seed=1))
+            for obs in ((inj, tracer) if lifo else (tracer, inj)):
+                obs.detach()
+            assert not tracer.attached and not inj.attached
+            assert m.network.faults is None
+            assert m.network.before_send == m.network.after_send == ()
+            assert "send" not in m.network.__dict__
+            spray(m, n=10)
+            assert len(got) == 10
+            assert m.network.stats.faults_injected == 0
+            assert tracer.events == []
 
 
 class TestObservability:

@@ -289,16 +289,18 @@ class TestObserverIdentity:
     def test_trace_stream_identical(self):
         from repro.trace.tracer import Tracer
 
-        def observe(m):
-            return Tracer(m, kinds=("effect", "txn", "packet"))
-
-        (m1, _, t1), (m2, _, t2) = run_pair(self._racy_build, observe=observe)
-        ev1 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t1.events]
-        ev2 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t2.events]
-        assert ev1 == ev2
-        # the macro wrapper itself must NOT appear as an effect
-        assert not any("ComputeLoad" in e.what for e in t2.events)
-        assert any(e.what == "Load" for e in t2.events)
+        # txn alone too: batched cache hits must still reach the access probe
+        for kinds in (("effect", "txn", "packet"), ("txn",)):
+            (m1, _, t1), (m2, _, t2) = run_pair(
+                self._racy_build, observe=lambda m: Tracer(m, kinds=kinds)
+            )
+            ev1 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t1.events]
+            ev2 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t2.events]
+            assert ev1 == ev2, kinds
+            if "effect" in kinds:
+                # the macro wrapper itself must NOT appear as an effect
+                assert not any("ComputeLoad" in e.what for e in t2.events)
+                assert any(e.what == "Load" for e in t2.events)
 
     def test_profiler_buckets_identical(self):
         from repro.obs.profiler import CycleProfiler

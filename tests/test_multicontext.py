@@ -89,17 +89,15 @@ class TestMissSwitching:
         bases = [m.alloc(node, 64 * 64) for node in range(1, 4)]
         for b in bases:
             m.processor(0).run_thread(miss_heavy(m, b, 15))
-        max_stalled = []
+        stalled = []
 
-        orig = m.processor(0)._maybe_miss_switch
+        def tick():  # a daemon: samples every cycle, never extends the run
+            stalled.append(len(m.processor(0)._stalled))
+            m.sim.call_daemon(1, tick)
 
-        def watched(ctx):
-            orig(ctx)
-            max_stalled.append(len(m.processor(0)._stalled))
-
-        m.processor(0)._maybe_miss_switch = watched
+        m.sim.call_daemon(1, tick)
         m.run()
-        assert max(max_stalled) <= 1  # hw_contexts - 1
+        assert max(stalled) == 1  # hw_contexts - 1, and reached
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -177,10 +177,16 @@ class TestProfiler:
     def test_detach_restores_methods(self):
         m = machine()
         prof = CycleProfiler(m)
+        assert all(node.processor.after_execute != () for node in m.nodes)
         prof.detach()
         for node in m.nodes:
-            assert "_execute" not in node.processor.__dict__
-            assert "_dispatch" not in node.processor.__dict__
+            proc = node.processor
+            for point in type(proc).PROBES:
+                assert getattr(proc, point) == (), point
+            # slotted: nothing can shadow _execute/_dispatch per instance
+            assert not hasattr(proc, "__dict__")
+            assert proc._execute.__func__ is type(proc)._execute
+            assert proc._dispatch.__func__ is type(proc)._dispatch
 
     def test_profiler_does_not_change_cycles(self):
         def run(profiled):

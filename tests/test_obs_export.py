@@ -210,7 +210,7 @@ class TestSession:
         assert not cfg.enabled
         with session(cfg) as s:
             m = make_machine(n_nodes=2)
-            assert "_execute" not in m.processor(0).__dict__
+            assert m.processor(0).after_execute == ()
             assert s.data()["records"] == []
 
     def test_absorb_merges_worker_payload(self):

@@ -251,12 +251,14 @@ class TestServeSpecs:
                 {"experiment": "fig11", "partitions": 2, "check": ["race"]}
             )
 
-    def test_partitioned_and_serial_specs_share_a_run_key(self):
-        # 'partitions' is an execution strategy, not an input: both
-        # specs must dedupe onto the same store entry
+    def test_partitioned_and_serial_specs_have_distinct_run_keys(self):
+        # partitioned output may differ from serial (fig9's shard-local
+        # stealing), so a serial resubmit must never dedupe onto it
         ex = self._ex()
         base = {"experiment": "fig11", "quick": True}
-        assert ex.key_for(base) == ex.key_for({**base, "partitions": 4})
-        # ...while a real input change still produces a fresh key
-        # (32 differs from the quick config's node count)
+        assert ex.key_for(base) != ex.key_for({**base, "partitions": 4})
+        assert ex.key_for({**base, "partitions": 2}) != ex.key_for(
+            {**base, "partitions": 4})
+        # as does a real input change (32 differs from the quick
+        # config's node count)
         assert ex.key_for(base) != ex.key_for({**base, "nodes": 32})

@@ -203,10 +203,17 @@ class TestAttachDetach:
         m = Machine(MachineConfig(n_nodes=4))
         send_before = m.network.send
         tracer = Tracer(m)
-        assert m.network.send != send_before  # wrapped (instance attr)
+        # attaching subscribes to probe points; no method is replaced
+        assert m.network.before_send != ()
+        assert "send" not in m.network.__dict__
+        assert m.network.send == send_before
         tracer.detach()
-        # the wrapper instance attribute is gone; lookup falls back to
-        # the pristine class method again
+        # every probe point is back to the empty tuple and the class
+        # methods run unobserved again
+        for comp in (m.network, m.coherence,
+                     *(node.processor for node in m.nodes)):
+            for point in type(comp).PROBES:
+                assert getattr(comp, point) == (), (type(comp).__name__, point)
         assert "send" not in m.network.__dict__
         assert m.network.send == send_before
 
