@@ -45,6 +45,13 @@ edges, i.e. hide a race — neither can fabricate one):
   in between. Acquires therefore join the release clock immediately
   *and again* at the context's next tracked operation, by which time
   the load has completed.
+
+Two exact economies make the cost per synchronization event, not per
+spin iteration or per context ever created (docs/CHECKING.md, "Cost"):
+a context skips re-joining a release-clock version it already joined
+(clocks only grow), and its own entry enters its clock with its first
+recorded data access (an entry published before then is below every
+epoch the context records, so it never decides a check).
 """
 
 from __future__ import annotations
@@ -83,6 +90,12 @@ def _join(into: dict[int, int], other: dict[int, int]) -> None:
             into[cid] = epoch
 
 
+def _tick(vc: dict[int, int], cid: int) -> None:
+    """Advance ``cid``'s epoch after a publish (once it has one)."""
+    if cid in vc:
+        vc[cid] += 1
+
+
 def _site(ctx: "Context") -> str:
     """Source location of the context's current yield point."""
     gen = ctx.gen
@@ -114,14 +127,20 @@ class RaceDetector:
         self.machine = machine
         self._emit = emit
         self._subs = Subscriptions()
-        #: cid -> vector clock {cid: epoch}
+        #: cid -> vector clock {cid: epoch}; the own entry appears with
+        #: the context's first recorded data access
         self._vc: dict[int, dict[int, int]] = {}
         #: cid -> sync addresses whose release clock must be re-joined
-        self._pending: dict[int, list[int]] = {}
+        #: (an insertion-ordered set)
+        self._pending: dict[int, dict[int, None]] = {}
+        #: cid -> {sync address: release-clock version already joined}
+        self._absorbed: dict[int, dict[int, int]] = {}
         #: executing contexts, innermost last (nested ``_step`` extents)
         self._active: list["Context"] = []
         #: sync address -> merged clock of every release on it
         self._rel: dict[int, dict[int, int]] = {}
+        #: sync address -> releases merged into its clock so far
+        self._version: dict[int, int] = {}
         #: hook key -> merged clock of every ``signal`` on it
         self._slots: dict[tuple, dict[int, int]] = {}
         #: (dst, mtype, id(operands)) -> FIFO of send-time clocks
@@ -160,9 +179,14 @@ class RaceDetector:
             sub(proc, "after_finish", self._finished)
             sub(node_obj.cmmu, "after_launch", self._launched)
 
+    def _new_clock(self, cid: int) -> dict[int, int]:
+        """A fresh context's clock: empty until its first recorded data
+        access adds the own entry (``_access``)."""
+        return {}
+
     def _step_begin(self, ctx: "Context") -> None:
         if ctx.cid not in self._vc:
-            vc = self._vc[ctx.cid] = {ctx.cid: 1}
+            vc = self._vc[ctx.cid] = self._new_clock(ctx.cid)
             clock = getattr(ctx.msg, "_hb_clock", None)
             if clock:
                 _join(vc, clock)
@@ -177,18 +201,22 @@ class RaceDetector:
             svc = self._vc.get(src.cid)
             if svc is not None and src is not ctx:
                 self._flush(src.cid)
-                tvc = self._vc.setdefault(ctx.cid, {ctx.cid: 1})
+                tvc = self._vc.setdefault(ctx.cid, self._new_clock(ctx.cid))
                 _join(tvc, svc)
-                svc[src.cid] = svc.get(src.cid, 0) + 1
+                _tick(svc, src.cid)
 
     def _finished(self, ctx: "Context") -> None:
         self._vc.pop(ctx.cid, None)
         self._pending.pop(ctx.cid, None)
+        self._absorbed.pop(ctx.cid, None)
 
     def _launched(self, dst: int, mtype: str, operands, msg) -> None:
-        fifo = self._send_clocks.get((dst, mtype, id(operands)))
+        key = (dst, mtype, id(operands))
+        fifo = self._send_clocks.get(key)
         if fifo:
             msg._hb_clock = fifo.popleft()
+            if not fifo:
+                del self._send_clocks[key]
 
     def detach(self) -> None:
         self._subs.clear()
@@ -209,7 +237,7 @@ class RaceDetector:
         self._flush(ctx.cid)
         slot = self._slots.setdefault(key, {})
         _join(slot, vc)
-        vc[ctx.cid] = vc.get(ctx.cid, 0) + 1
+        _tick(vc, ctx.cid)
 
     def observe(self, key: tuple) -> None:
         ctx = self._active[-1] if self._active else None
@@ -223,6 +251,17 @@ class RaceDetector:
     # ------------------------------------------------------------------
     # Access processing
     # ------------------------------------------------------------------
+    def _acquire(self, cid: int, vc: dict[int, int], addr: int) -> None:
+        """Join ``addr``'s release clock into ``vc`` unless this context
+        already joined its current version (clocks only grow, so that
+        join would change nothing)."""
+        version = self._version.get(addr)
+        if version is not None:
+            absorbed = self._absorbed.setdefault(cid, {})
+            if absorbed.get(addr) != version:
+                absorbed[addr] = version
+                _join(vc, self._rel[addr])
+
     def _flush(self, cid: int) -> None:
         """Apply the deferred acquire joins recorded for ``cid``."""
         pending = self._pending.get(cid)
@@ -230,16 +269,14 @@ class RaceDetector:
             return
         vc = self._vc[cid]
         for addr in pending:
-            slot = self._rel.get(addr)
-            if slot:
-                _join(vc, slot)
+            self._acquire(cid, vc, addr)
         pending.clear()
 
     def _access(self, ctx: "Context", addr: int, kind: str, node: int) -> None:
         cid = ctx.cid
         vc = self._vc.get(cid)
         if vc is None:  # pragma: no cover - ctx always stepped first
-            vc = self._vc[cid] = {cid: 1}
+            vc = self._vc[cid] = self._new_clock(cid)
         sync = addr in self._sync
         if not sync and kind in ("acquire", "release", "fetchop"):
             # first annotated access promotes the address to a sync
@@ -250,33 +287,31 @@ class RaceDetector:
             sync = True
         if sync:
             if kind in ("load", "acquire"):
-                slot = self._rel.get(addr)
-                if slot:
-                    _join(vc, slot)
-                self._pending.setdefault(cid, []).append(addr)
+                self._acquire(cid, vc, addr)
+                self._pending.setdefault(cid, {})[addr] = None
             else:  # store / release / fetchop
                 self._flush(cid)
                 if kind == "fetchop":
-                    slot = self._rel.get(addr)
-                    if slot:
-                        _join(vc, slot)
+                    self._acquire(cid, vc, addr)
                     # An atomic that misses applies its RMW at the home
                     # node *after* issue; a release landing on the
                     # address in between (e.g. an MCS tail swing by the
                     # releaser while the acquirer's swap is in flight)
                     # is invisible here, so defer a re-join to the next
                     # access — same over-approximation as acquires.
-                    self._pending.setdefault(cid, []).append(addr)
-                slot = self._rel.setdefault(addr, {})
-                _join(slot, vc)
-                vc[cid] = vc.get(cid, 0) + 1
+                    self._pending.setdefault(cid, {})[addr] = None
+                _join(self._rel.setdefault(addr, {}), vc)
+                self._version[addr] = self._version.get(addr, 0) + 1
+                _tick(vc, cid)
             return
 
         # plain data access: race check
         self._flush(cid)
         now = self.machine.sim.now
         site = _site(ctx)
-        epoch = vc[cid]
+        epoch = vc.get(cid)
+        if epoch is None:  # first recorded access: publish from here on
+            epoch = vc[cid] = 1
         lw = self._last_write.get(addr)
         if kind == "store":
             if lw is not None and lw[0] != cid and vc.get(lw[0], 0) < lw[1]:
@@ -296,11 +331,11 @@ class RaceDetector:
         cid = ctx.cid
         vc = self._vc.get(cid)
         if vc is None:  # pragma: no cover - ctx always stepped first
-            vc = self._vc[cid] = {cid: 1}
+            vc = self._vc[cid] = self._new_clock(cid)
         self._flush(cid)
         key = (eff.dst, eff.mtype, id(eff.operands))
         self._send_clocks.setdefault(key, deque()).append(dict(vc))
-        vc[cid] = vc.get(cid, 0) + 1
+        _tick(vc, cid)
 
     def _report(
         self, addr: int, prior_kind: str, kind: str,

@@ -72,6 +72,11 @@ def configure_logging(
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # buffered writes: ``handle_one_request`` flushes once per response
+    # and ``_send_stream`` once per chunk, so each leaves in one write
+    # and a kept-alive connection never waits on Nagle's algorithm for
+    # the client's delayed ACK
+    wbufsize = -1
 
     # http.server's own request lines (and errors) go to the leveled
     # logger instead of being swallowed or splattered on stderr
@@ -128,6 +133,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(b"\r\n")
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
         return status

@@ -5,8 +5,11 @@ run store (dedup counter increments, no worker-pool dispatch)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -274,6 +277,31 @@ class TestEndToEnd:
         dones = [e["done"] for e in progress]
         assert dones == sorted(dones)  # monotone per-point completion
         assert progress[-1]["done"] == progress[-1]["total"] > 0
+
+    def test_keep_alive_connection_does_not_stall(self, service):
+        # a response leaves in one write, so a reused connection never
+        # waits for the client's delayed ACK (Nagle's algorithm)
+        _, client = service
+        url = urlsplit(client.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+            elapsed = time.perf_counter() - t0
+            # an SSE stream and a later request share the connection
+            job = client.wait(client.submit(TINY_SPEC)["id"], timeout=120.0)
+            conn.request("GET", f"/v1/jobs/{job['id']}/events")
+            resp = conn.getresponse()
+            assert b"event: done" in resp.read()
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        assert elapsed < 0.25
 
     def test_prometheus_scrape_over_http(self, service):
         _, client = service
