@@ -15,10 +15,10 @@ the bug without the generator:
 
 The id is content-addressed (same minimized scenario + same signature
 → same id), so campaigns dedupe across runs for free: a bug found by
-fifty seeds files one bundle. Publication is atomic — bundles are
-assembled in a temp directory and renamed into place, so a killed
-campaign never leaves a half-written bundle that the pytest replay
-hook would trip over.
+fifty seeds files one bundle. Each bundle is one :mod:`repro.perf.store`
+object, published by one directory rename, so a killed campaign never
+leaves a half-written bundle that the pytest replay hook would trip
+over.
 
 ``tests/test_fuzz.py`` replays every bundle under ``tests/corpus/``
 (committed regressions) plus ``$REPRO_FUZZ_CORPUS`` (a local campaign
@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from repro.perf import store
 
 CORPUS_DIR_ENV = "REPRO_FUZZ_CORPUS"
-
-#: bundle files that must exist for an entry to count as published
-REQUIRED = ("scenario.json", "finding.json")
 
 
 def canonical(doc: Any) -> str:
@@ -73,9 +70,6 @@ class Corpus:
         stamped in); ``extra`` maps further artifact names to bytes
         (original.json, result.json, run.json, trace.json)."""
         eid = entry_id(scenario, signature)
-        dst = self.root / eid
-        if (dst / "finding.json").is_file():
-            return eid, False
         files: dict[str, bytes] = {
             "scenario.json": canonical(scenario).encode() + b"\n",
             "finding.json": json.dumps(
@@ -84,39 +78,14 @@ class Corpus:
             ).encode() + b"\n",
         }
         for name, blob in (extra or {}).items():
-            if name in files or "/" in name or name.startswith("."):
+            if name in files:
                 raise ValueError(f"bad bundle artifact name {name!r}")
             files[name] = blob
-        tmp = self.root / f".tmp-{eid}-{os.getpid()}-{threading.get_ident()}"
-        tmp.mkdir(parents=True, exist_ok=True)
-        try:
-            for name, blob in sorted(files.items()):
-                (tmp / name).write_bytes(blob)
-            try:
-                os.rename(tmp, dst)
-            except OSError:
-                # racing publisher of the same content-addressed id
-                if not (dst / "finding.json").is_file():
-                    raise
-                return eid, False
-        finally:
-            if tmp.is_dir():
-                for leftover in tmp.iterdir():
-                    leftover.unlink()
-                tmp.rmdir()
-        return eid, True
+        return eid, store.publish(self.root, eid, files)
 
     # -- read ----------------------------------------------------------
     def ids(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        out = []
-        for child in sorted(self.root.iterdir()):
-            if child.name.startswith(".") or not child.is_dir():
-                continue
-            if all((child / name).is_file() for name in REQUIRED):
-                out.append(child.name)
-        return out
+        return [obj.key for obj in store.objects(self.root)]
 
     def load(self, eid: str) -> dict:
         """One bundle's scenario + finding (raises on a broken entry)."""
@@ -127,10 +96,6 @@ class Corpus:
             "finding": json.loads((base / "finding.json").read_bytes()),
         }
 
-    def entries(self) -> Iterator[dict]:
-        for eid in self.ids():
-            yield self.load(eid)
-
 
 def replay_corpora(paths: list[str | Path]) -> list[tuple[str, dict]]:
     """Every bundle from every existing corpus directory, as
@@ -138,8 +103,8 @@ def replay_corpora(paths: list[str | Path]) -> list[tuple[str, dict]]:
     out: list[tuple[str, dict]] = []
     for path in paths:
         corpus = Corpus(path)
-        for bundle in corpus.entries():
-            out.append((f"{Path(path).name}:{bundle['id']}", bundle))
+        for eid in corpus.ids():
+            out.append((f"{Path(path).name}:{eid}", corpus.load(eid)))
     return out
 
 

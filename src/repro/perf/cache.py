@@ -18,20 +18,23 @@ the cache key is built from three parts:
   :class:`~repro.obs.session.ObsConfig` (empty when unobserved), since
   an observed run caches its observation payload alongside the result.
 
-Entries live under ``<cache-dir>/objects/<k[:2]>/<k>.pkl`` as a
-SHA-256 digest line followed by a pickled payload; a digest mismatch
-(truncated or bit-flipped file) is detected on load, counted as
-*corrupt*, and the point transparently re-runs. A sidecar under
-``costs/`` remembers each point's last measured wall cost *keyed
-without the fingerprint*, so after a code edit the scheduler still
-knows which points were expensive (longest-cost-first dispatch) and a
-missing entry whose cost sidecar exists is counted as an
-*invalidation* rather than a plain miss.
+Each entry is a :mod:`repro.perf.store` object
+``<cache-dir>/points/<k>/entry.pkl``: a SHA-256 digest line followed
+by a pickled payload. A digest mismatch (truncated or bit-flipped
+file) is detected on load, counted as *corrupt*, and the point
+transparently re-runs. A sidecar ``<cache-dir>/costs/<d>.json``
+remembers each point's last measured wall cost *keyed without the
+fingerprint*, so after a code edit the scheduler still knows which
+points were expensive (longest-cost-first dispatch) and a missing
+entry whose cost sidecar exists is counted as an *invalidation*
+rather than a plain miss.
 
-Maintenance tool::
+Maintenance tool, for the run cache and (``--store-dir``) the
+service's run store alike::
 
-    python -m repro.perf.cache stats   [--cache-dir D]
-    python -m repro.perf.cache gc      [--max-age-days N] [--max-bytes B] [--all]
+    python -m repro.perf.cache stats   [--cache-dir D | --store-dir D]
+    python -m repro.perf.cache gc      [--cache-dir D | --store-dir D]
+                                       [--max-age-days N] [--max-bytes B] [--all]
     python -m repro.perf.cache verify  [--sample N] [--seed S] [--fix]
     python -m repro.perf.cache fingerprint        # repo-wide, for CI cache keys
     python -m repro.perf.cache bench   [--min-speedup X] [--jobs N]
@@ -47,16 +50,18 @@ import argparse
 import ast
 import hashlib
 import importlib.util
-import itertools
 import json
 import os
 import pickle
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
+
+from repro.perf import store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.sweep import SweepPoint
@@ -66,6 +71,8 @@ CACHE_SCHEMA = 1
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+ENTRY_BLOB = "entry.pkl"
 
 _PICKLE_PROTO = 4
 
@@ -240,6 +247,8 @@ class RunCache:
         self.root = Path(
             root or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         )
+        self.points = self.root / "points"
+        self.costs = self.root / "costs"
         self.stats = CacheStats()
 
     # -- keys ----------------------------------------------------------
@@ -253,11 +262,8 @@ class RunCache:
         payload = f"{self.descriptor_hash(point)}\n{fingerprint}\n{obs_key}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _obj_path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.pkl"
-
     def _cost_path(self, dhash: str) -> Path:
-        return self.root / "costs" / dhash[:2] / f"{dhash}.json"
+        return self.costs / f"{dhash}.json"
 
     # -- entry encoding ------------------------------------------------
     @staticmethod
@@ -276,32 +282,17 @@ class RunCache:
             return None
         return entry if isinstance(entry, dict) and "result" in entry else None
 
-    #: distinguishes temp files written by threads sharing one pid
-    _tmp_seq = itertools.count()
-
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
-        """Publish ``blob`` at ``path`` via write-to-temp + atomic
-        rename. The temp name is unique per (pid, thread, sequence), so
-        two jobs materializing the *same* entry concurrently never
-        stomp each other's half-written file — whoever renames last
-        wins, and both wrote identical content-addressed bytes."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}"
-            f".{next(self._tmp_seq)}.tmp"
-        )
+    def _read(self, key: str) -> dict[str, Any] | None:
+        """The entry stored under ``key`` (None = absent or corrupt)."""
         try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            return self._decode((self.points / key / ENTRY_BLOB).read_bytes())
+        except OSError:
+            return None
 
     # -- get / put -----------------------------------------------------
     def get(self, key: str, point: "SweepPoint") -> dict[str, Any] | None:
-        path = self._obj_path(key)
         try:
-            blob = path.read_bytes()
+            blob = (self.points / key / ENTRY_BLOB).read_bytes()
         except OSError:
             self.stats.bump("misses")
             if self._cost_path(self.descriptor_hash(point)).exists():
@@ -313,7 +304,7 @@ class RunCache:
         if entry is None or entry.get("key") != key:
             self.stats.bump("corrupt")
             self.stats.bump("misses")
-            path.unlink(missing_ok=True)
+            store.delete(self.points, key)
             return None
         self.stats.bump("hits")
         return entry
@@ -345,11 +336,11 @@ class RunCache:
         except Exception:
             self.stats.bump("uncacheable")
             return
-        self._write_atomic(self._obj_path(key), blob)
+        store.publish(self.points, key, {ENTRY_BLOB: blob})
         self.stats.bump("stores")
         dhash = self.descriptor_hash(point)
         cost_blob = json.dumps({"cost": cost, "fn": point.fn}).encode()
-        self._write_atomic(self._cost_path(dhash), cost_blob)
+        store.replace_file(self._cost_path(dhash), cost_blob)
 
     def recorded_cost(self, point: "SweepPoint") -> float | None:
         """Last measured wall cost of this point under *any* code
@@ -361,54 +352,6 @@ class RunCache:
             return None
 
     # -- maintenance ---------------------------------------------------
-    def entries(self) -> Iterator[tuple[Path, dict[str, Any] | None]]:
-        """Every object file with its decoded entry (None = corrupt)."""
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.glob("*/*.pkl")):
-            try:
-                yield path, self._decode(path.read_bytes())
-            except OSError:
-                continue
-
-    def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p, _ in self.entries())
-
-    def gc(
-        self,
-        max_age_days: float | None = None,
-        max_bytes: int | None = None,
-        everything: bool = False,
-    ) -> int:
-        """Delete entries by age, then oldest-first down to a byte
-        budget; ``everything`` wipes objects and cost sidecars both."""
-        removed = 0
-        files = [(p.stat().st_mtime, p) for p, _ in self.entries()]
-        if everything:
-            max_bytes = -1
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            for mtime, path in list(files):
-                if mtime < cutoff:
-                    path.unlink(missing_ok=True)
-                    files.remove((mtime, path))
-                    removed += 1
-        if max_bytes is not None:
-            files.sort()  # oldest first
-            total = sum(p.stat().st_size for _, p in files)
-            while files and total > max_bytes:
-                _, path = files.pop(0)
-                total -= path.stat().st_size
-                path.unlink(missing_ok=True)
-                removed += 1
-        if everything:
-            costs = self.root / "costs"
-            if costs.is_dir():
-                for path in costs.glob("*/*.json"):
-                    path.unlink(missing_ok=True)
-        return removed
-
     def verify(
         self, sample: int = 5, seed: int = 0, fix: bool = False
     ) -> dict[str, int]:
@@ -422,16 +365,17 @@ class RunCache:
         from repro.perf.sweep import SweepPoint, run_point
 
         report = {"checked": 0, "ok": 0, "mismatched": 0, "stale": 0, "corrupt": 0}
-        valid: list[tuple[Path, dict[str, Any]]] = []
-        for path, entry in self.entries():
+        valid: list[tuple[str, dict[str, Any]]] = []
+        for obj in store.objects(self.points):
+            entry = self._read(obj.key)
             if entry is None:
                 report["corrupt"] += 1
                 if fix:
-                    path.unlink(missing_ok=True)
+                    store.delete(self.points, obj.key)
             else:
-                valid.append((path, entry))
+                valid.append((obj.key, entry))
         chosen = random.Random(seed).sample(valid, min(sample, len(valid)))
-        for path, entry in chosen:
+        for key, entry in chosen:
             modname = entry["fn"].partition(":")[0]
             if entry["fingerprint"] != code_fingerprint(modname):
                 report["stale"] += 1
@@ -448,7 +392,7 @@ class RunCache:
             else:
                 report["mismatched"] += 1
                 if fix:
-                    path.unlink(missing_ok=True)
+                    store.delete(self.points, key)
         return report
 
 
@@ -482,30 +426,53 @@ def activate(cache: RunCache | None) -> Iterator[RunCache | None]:
 # ----------------------------------------------------------------------
 # python -m repro.perf.cache
 # ----------------------------------------------------------------------
-def _cmd_stats(cache: RunCache) -> int:
-    n = bytes_total = corrupt = 0
-    by_fn: dict[str, int] = {}
-    for path, entry in cache.entries():
-        n += 1
-        bytes_total += path.stat().st_size
-        if entry is None:
-            corrupt += 1
-        else:
-            by_fn[entry["fn"]] = by_fn.get(entry["fn"], 0) + 1
-    print(f"cache dir: {cache.root}")
-    print(f"entries:   {n} ({bytes_total:,} bytes, {corrupt} corrupt)")
-    for fn, count in sorted(by_fn.items(), key=lambda kv: -kv[1]):
-        print(f"  {count:>5}  {fn}")
+#: what ``stats``/``gc`` call one object of each kind
+_NOUN = {"cache": "entries", "store": "runs"}
+
+
+def _target(args: argparse.Namespace) -> tuple[str, Any, Path, Callable]:
+    """The store a ``stats``/``gc`` command names: its kind, the
+    :class:`RunCache` or run store itself, its object root, and a
+    reader giving one object's label (None = unreadable)."""
+    if args.store_dir:
+        from repro.serve.store import RunStore
+
+        runs = RunStore(args.store_dir)
+
+        def experiment(key: str) -> str | None:
+            entry = runs.get(key)
+            return None if entry is None else entry.get("experiment", "?")
+
+        return "store", runs, runs.runs, experiment
+    cache = RunCache(args.cache_dir)
+
+    def fn(key: str) -> str | None:
+        entry = cache._read(key)
+        return None if entry is None else entry["fn"]
+
+    return "cache", cache, cache.points, fn
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    kind, owner, objects_root, label = _target(args)
+    objs = store.objects(objects_root)
+    labels = [label(obj.key) for obj in objs]
+    counts = Counter(name for name in labels if name is not None)
+    print(f"{kind} dir: {owner.root}")
+    print(f"{_NOUN[kind] + ':':<11}{sum(counts.values())} "
+          f"({sum(o.nbytes for o in objs):,} bytes, "
+          f"{labels.count(None)} unreadable)")
+    for name, count in counts.most_common():
+        print(f"  {count:>5}  {name}")
     return 0
 
 
-def _cmd_gc(cache: RunCache, args: argparse.Namespace) -> int:
-    removed = cache.gc(
-        max_age_days=args.max_age_days,
-        max_bytes=args.max_bytes,
-        everything=args.all,
-    )
-    print(f"removed {removed} entries from {cache.root}")
+def _cmd_gc(args: argparse.Namespace) -> int:
+    kind, owner, objects_root, _ = _target(args)
+    removed = store.gc(objects_root, args.max_age_days, args.max_bytes, args.all)
+    if kind == "cache":
+        store.gc(owner.costs, everything=args.all)
+    print(f"removed {removed} {_NOUN[kind]} from {owner.root}")
     return 0
 
 
@@ -525,7 +492,7 @@ def _cmd_verify(cache: RunCache, args: argparse.Namespace) -> int:
 
 def _cmd_bench(cache: RunCache, args: argparse.Namespace) -> int:
     """Run the quick experiment sweep twice under the cache and gate on
-    the warm-run speedup (CI uses this after restoring ``objects/``)."""
+    the warm-run speedup (CI uses this after restoring the cache dir)."""
     from repro.cli import QUICK_ARGS
     from repro.experiments import ALL_EXPERIMENTS
 
@@ -571,18 +538,21 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--cache-dir", default=None, metavar="DIR",
                         help=f"cache location (default: ${CACHE_DIR_ENV} "
                         f"or {DEFAULT_CACHE_DIR!r})")
+    either = argparse.ArgumentParser(add_help=False, parents=[common])
+    either.add_argument("--store-dir", default=None, metavar="DIR",
+                        help="act on this service run store instead of the cache")
     ap = argparse.ArgumentParser(
         prog="python -m repro.perf.cache",
-        description="Inspect and maintain the content-addressed run cache.",
+        description="Inspect and maintain the run cache and the run store.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("stats", parents=[common],
-                   help="entry count, bytes, per-function breakdown")
-    gcp = sub.add_parser("gc", parents=[common],
-                         help="delete entries by age / byte budget")
+    sub.add_parser("stats", parents=[either],
+                   help="object count, bytes, per-function/experiment breakdown")
+    gcp = sub.add_parser("gc", parents=[either],
+                         help="delete objects by age / byte budget")
     gcp.add_argument("--max-age-days", type=float, default=None)
     gcp.add_argument("--max-bytes", type=int, default=None)
-    gcp.add_argument("--all", action="store_true", help="wipe the cache entirely")
+    gcp.add_argument("--all", action="store_true", help="delete every object")
     vp = sub.add_parser("verify", parents=[common],
                         help="re-run sampled entries and compare")
     vp.add_argument("--sample", type=int, default=5)
@@ -600,11 +570,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "fingerprint":
         print(repo_fingerprint())
         return 0
-    cache = RunCache(args.cache_dir)
     if args.cmd == "stats":
-        return _cmd_stats(cache)
+        return _cmd_stats(args)
     if args.cmd == "gc":
-        return _cmd_gc(cache, args)
+        return _cmd_gc(args)
+    cache = RunCache(args.cache_dir)
     if args.cmd == "verify":
         return _cmd_verify(cache, args)
     return _cmd_bench(cache, args)

@@ -35,6 +35,7 @@ import time
 from typing import Any, Iterator
 
 from repro import __version__
+from repro.perf.store import objects
 from repro.serve.orchestrator import (  # noqa: F401 (STATES re-export)
     STATES,
     JobOrchestrator,
@@ -109,8 +110,13 @@ class ServeApp:
 
         reg = MetricsRegistry()
         self.orchestrator.register_metrics(reg)
-        reg.gauge("serve.store_runs", self.store.count)
-        reg.gauge("serve.store_bytes", self.store.total_bytes)
+        runs = self.store.runs
+        reg.gauge("serve.store_runs", lambda: sum(
+            self.store.get(obj.key) is not None for obj in objects(runs)
+        ))
+        reg.gauge("serve.store_bytes", lambda: sum(
+            obj.nbytes for obj in objects(runs)
+        ))
         cache = getattr(self.orchestrator.executor, "cache", None)
         if cache is not None:
             for field in cache.stats.snapshot():

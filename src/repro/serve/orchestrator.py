@@ -77,7 +77,7 @@ class Executor(Protocol):  # pragma: no cover - typing only
     def key_for(self, spec: dict) -> str: ...
 
     def execute(
-        self, spec: dict, should_cancel: Any, **observers: Any
+        self, spec: dict, should_cancel: Any, progress: Any, job_info: dict
     ) -> tuple[dict, dict[str, bytes]]: ...
 
 
@@ -163,23 +163,6 @@ class Job:
 LATENCY_BOUNDS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 
 
-def _accepted_observers(executor: Any) -> frozenset:
-    """Which optional observer kwargs (``progress``, ``job_info``)
-    this executor's ``execute`` accepts — older/minimal executors with
-    the plain ``(spec, should_cancel)`` signature still work."""
-    import inspect
-
-    try:
-        params = inspect.signature(executor.execute).parameters
-    except (TypeError, ValueError):  # builtins/C callables: assume none
-        return frozenset()
-    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        return frozenset({"progress", "job_info"})
-    return frozenset(
-        name for name in ("progress", "job_info") if name in params
-    )
-
-
 class JobOrchestrator:
     """Priority-ordered job execution over a run store."""
 
@@ -192,7 +175,6 @@ class JobOrchestrator:
         self.executor = executor
         self.store = store
         self.journal = journal
-        self._executor_observers = _accepted_observers(executor)
         self.n_workers = max(1, int(workers))
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -584,25 +566,19 @@ class JobOrchestrator:
             try:
                 if job.cancel_event.is_set():
                     raise JobCancelled()
-                observers: dict[str, Any] = {}
-                if "progress" in self._executor_observers:
-                    observers["progress"] = (
-                        lambda update, job=job: self._note_progress(
-                            job, update
-                        )
-                    )
-                if "job_info" in self._executor_observers:
-                    observers["job_info"] = {
+                meta, artifacts = self.executor.execute(
+                    job.spec,
+                    should_cancel=job.cancel_event.is_set,
+                    progress=lambda update, job=job: self._note_progress(
+                        job, update
+                    ),
+                    job_info={
                         "trace_id": job.trace_id,
                         "job_id": job.id,
                         "submitted_wall": job.created,
                         "submitted_mono": job.created_mono,
                         "started_mono": job.started_mono,
-                    }
-                meta, artifacts = self.executor.execute(
-                    job.spec,
-                    should_cancel=job.cancel_event.is_set,
-                    **observers,
+                    },
                 )
                 if job.cancel_event.is_set():
                     # cancelled too late to interrupt: discard, never

@@ -147,11 +147,9 @@ class ServeServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], app: ServeApp,
-                 verbose: bool = False) -> None:
+    def __init__(self, address: tuple[str, int], app: ServeApp) -> None:
         super().__init__(address, _Handler)
         self.app = app
-        self.verbose = verbose
 
     @property
     def port(self) -> int:
@@ -215,7 +213,7 @@ def serve(
         workers=workers, jobs=jobs, journal_path=journal_path,
     )
     app.orchestrator.start()
-    server = ServeServer((host, port), app, verbose=verbose)
+    server = ServeServer((host, port), app)
     stop = threading.Event()
 
     def _signalled(signum, frame) -> None:

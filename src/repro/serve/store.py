@@ -9,33 +9,31 @@ work against the same code are, by construction, asking for the same
 run. The store is what lets the service answer the second client
 instantly.
 
-Layout::
+Each run is one :mod:`repro.perf.store` object::
 
-    <store>/runs/<key[:2]>/<key>/
+    <store>/runs/<key>/
         report.txt      rendered experiment table
         table.json      exp_id / title / columns / rows / notes
         run.json        the standard run manifest (repro-run/1)
         trace.json      Perfetto trace (only when the job traced)
-        entry.json      metadata, written last
+        entry.json      metadata: schema, key, artifact names
 
-Publication protocol: every artifact is written via write-to-temp +
-atomic rename, and ``entry.json`` is renamed into place *last* — a
-run exists iff its ``entry.json`` decodes and every artifact it lists
-is present. Two workers materializing the same key concurrently (the
-dedup window between submit and publish) each write identical,
-deterministic bytes; whoever renames last wins and nobody ever
-observes a half-published run.
+The object store publishes a run with one directory rename, so a
+reader sees no run or a whole one, and the first publisher of a key
+wins. A run exists iff its ``entry.json`` decodes and every artifact
+it lists is present. ``<store>/journal.jsonl`` (the job journal) sits
+beside ``runs/`` and is never an object.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from repro.perf import store
 
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 DEFAULT_STORE_DIR = ".repro_store"
@@ -59,45 +57,23 @@ ARTIFACT_TYPES = {
 class RunStore:
     """Content-addressed store of completed service runs."""
 
-    _tmp_seq = itertools.count()
-
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(
             root or os.environ.get(STORE_DIR_ENV) or DEFAULT_STORE_DIR
         )
+        self.runs = self.root / "runs"
 
     def run_dir(self, key: str) -> Path:
-        return self.root / "runs" / key[:2] / key
-
-    # -- write ---------------------------------------------------------
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
-        tmp = path.parent / (
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}"
-            f".{next(self._tmp_seq)}.tmp"
-        )
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        return self.runs / key
 
     def publish(
         self, key: str, meta: dict[str, Any], artifacts: dict[str, bytes]
     ) -> dict[str, Any]:
-        """Publish one completed run: artifacts first, entry last.
-
-        Returns the entry as :meth:`get` would. Safe against a
-        concurrent publisher of the same key (identical deterministic
-        content; per-file atomic rename)."""
+        """Publish one completed run; returns the entry built for it.
+        A concurrent publisher of the same key writes identical
+        deterministic artifacts; the first one in place is kept."""
         if ENTRY_NAME in artifacts:
             raise ValueError(f"{ENTRY_NAME!r} is reserved for run metadata")
-        run_dir = self.run_dir(key)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for name, blob in sorted(artifacts.items()):
-            if "/" in name or name.startswith("."):
-                raise ValueError(f"bad artifact name {name!r}")
-            self._write_atomic(run_dir / name, blob)
         entry = {
             "schema": STORE_SCHEMA,
             "key": key,
@@ -105,17 +81,21 @@ class RunStore:
             "published": time.time(),
             **meta,
         }
-        self._write_atomic(
-            run_dir / ENTRY_NAME,
-            json.dumps(entry, indent=1, sort_keys=True).encode() + b"\n",
-        )
+        blobs = {
+            **artifacts,
+            ENTRY_NAME: json.dumps(entry, indent=1, sort_keys=True).encode() + b"\n",
+        }
+        if not store.publish(self.runs, key, blobs) and self.get(key) is None:
+            # the key holds a broken run (an artifact lost, a corrupt
+            # entry): replace it rather than keep serving nothing
+            store.delete(self.runs, key)
+            store.publish(self.runs, key, blobs)
         return entry
 
-    # -- read ----------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
-        """The run's entry, or None if absent / half-published /
-        schema-mismatched. A run whose listed artifacts are missing is
-        treated as absent (it will simply be recomputed)."""
+        """The run's entry, or None if absent / schema-mismatched. A
+        run whose listed artifacts are missing is treated as absent (it
+        will simply be recomputed)."""
         try:
             entry = json.loads((self.run_dir(key) / ENTRY_NAME).read_bytes())
         except (OSError, ValueError):
@@ -144,92 +124,3 @@ class RunStore:
         if path is None:
             raise KeyError(f"run {key[:12]}… has no artifact {name!r}")
         return path.read_bytes()
-
-    # -- maintenance ---------------------------------------------------
-    def keys(self) -> Iterator[str]:
-        """Keys of every published run."""
-        runs = self.root / "runs"
-        if not runs.is_dir():
-            return
-        for entry_path in sorted(runs.glob(f"*/*/{ENTRY_NAME}")):
-            key = entry_path.parent.name
-            if self.get(key) is not None:
-                yield key
-
-    def count(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def total_bytes(self) -> int:
-        """On-disk bytes across every file under the runs tree
-        (entries and artifacts; half-published temp files included —
-        this is a capacity gauge, not a content audit)."""
-        runs = self.root / "runs"
-        if not runs.is_dir():
-            return 0
-        total = 0
-        for path in runs.rglob("*"):
-            try:
-                if path.is_file():
-                    total += path.stat().st_size
-            except OSError:  # racing publisher/GC: skip
-                continue
-        return total
-
-    def _run_bytes(self, key: str) -> int:
-        total = 0
-        for path in self.run_dir(key).rglob("*"):
-            try:
-                if path.is_file():
-                    total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def delete(self, key: str) -> None:
-        """Remove one run, entry first — a reader racing the deletion
-        sees the run as absent (get() requires entry.json), never as
-        half-complete."""
-        run_dir = self.run_dir(key)
-        (run_dir / ENTRY_NAME).unlink(missing_ok=True)
-        for path in sorted(run_dir.glob("*")):
-            path.unlink(missing_ok=True)
-        try:
-            run_dir.rmdir()
-            run_dir.parent.rmdir()  # drop the fan-out dir when emptied
-        except OSError:
-            pass
-
-    def gc(
-        self,
-        max_age_days: float | None = None,
-        max_bytes: int | None = None,
-        everything: bool = False,
-    ) -> int:
-        """Delete runs by publication age, then oldest-first down to a
-        byte budget (the ``repro.perf.cache gc`` policy applied to
-        whole runs); returns the number of runs removed."""
-        removed = 0
-        runs = [
-            (entry.get("published", 0.0), key)
-            for key in self.keys()
-            if (entry := self.get(key)) is not None
-        ]
-        if everything:
-            max_bytes = -1
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            for published, key in list(runs):
-                if published < cutoff:
-                    self.delete(key)
-                    runs.remove((published, key))
-                    removed += 1
-        if max_bytes is not None:
-            runs.sort()  # oldest first
-            sizes = {key: self._run_bytes(key) for _, key in runs}
-            total = sum(sizes.values())
-            while runs and total > max_bytes:
-                _, key = runs.pop(0)
-                total -= sizes[key]
-                self.delete(key)
-                removed += 1
-        return removed

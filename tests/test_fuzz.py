@@ -125,7 +125,8 @@ class TestCampaign:
         # the corpus replays to the recorded signature
         corpus = Corpus(tmp_path / "corpus")
         assert corpus.ids()
-        for bundle in corpus.entries():
+        for eid in corpus.ids():
+            bundle = corpus.load(eid)
             got = signature_of(classify(run_scenario(bundle["scenario"])))
             assert got == bundle["finding"]["signature"]
 
@@ -233,46 +234,46 @@ class TestCorpusStore:
 
 
 class TestStoreGC:
-    def _publish(self, store, key: str, published: float) -> None:
-        store.publish(key, {"experiment": "x"}, {"report.txt": b"r" * 100})
-        # backdate for age-based GC
-        import json as _json
-
-        path = store.run_dir(key) / "entry.json"
-        entry = _json.loads(path.read_bytes())
-        entry["published"] = published
-        path.write_bytes(_json.dumps(entry).encode())
-
-    def test_gc_by_age_and_bytes(self, tmp_path):
+    def _publish(self, runs, key: str, age_days: float) -> None:
         import time
 
+        runs.publish(key, {"experiment": "x"}, {"report.txt": b"r" * 100})
+        # backdate the run's object directory for age-based GC
+        t = time.time() - age_days * 86400
+        os.utime(runs.run_dir(key), (t, t))
+
+    def test_gc_by_age_and_bytes(self, tmp_path):
+        from repro.perf import store
         from repro.serve.store import RunStore
 
-        store = RunStore(tmp_path)
-        now = time.time()
-        self._publish(store, "aa" + "0" * 62, now - 10 * 86400)
-        self._publish(store, "bb" + "0" * 62, now - 5 * 86400)
-        self._publish(store, "cc" + "0" * 62, now)
-        assert store.count() == 3
-        assert store.gc(max_age_days=7) == 1
-        assert store.get("aa" + "0" * 62) is None
-        assert store.count() == 2
+        runs = RunStore(tmp_path)
+        self._publish(runs, "aa" + "0" * 62, 10)
+        self._publish(runs, "bb" + "0" * 62, 5)
+        self._publish(runs, "cc" + "0" * 62, 0)
+        assert len(store.objects(runs.runs)) == 3
+        assert store.gc(runs.runs, max_age_days=7) == 1
+        assert runs.get("aa" + "0" * 62) is None
+        assert len(store.objects(runs.runs)) == 2
         # oldest-first down to the byte budget
-        assert store.gc(max_bytes=store._run_bytes("cc" + "0" * 62)) == 1
-        assert store.get("bb" + "0" * 62) is None
-        assert store.gc(everything=True) == 1
-        assert store.count() == 0
+        newest = store.objects(runs.runs)[-1]
+        assert store.gc(runs.runs, max_bytes=newest.nbytes) == 1
+        assert runs.get("bb" + "0" * 62) is None
+        assert store.gc(runs.runs, everything=True) == 1
+        assert store.objects(runs.runs) == []
 
     def test_serve_store_cli(self, tmp_path, capsys):
-        from repro.serve.__main__ import main
+        from repro.perf.cache import main
         from repro.serve.store import RunStore
 
-        store = RunStore(tmp_path)
-        store.publish("dd" + "0" * 62, {"experiment": "x"}, {"report.txt": b"r"})
-        assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
+        runs = RunStore(tmp_path)
+        runs.publish("dd" + "0" * 62, {"experiment": "x"}, {"report.txt": b"r"})
+        (tmp_path / "journal.jsonl").write_text("{}\n")
+        assert main(["stats", "--store-dir", str(tmp_path)]) == 0
         assert "runs:      1" in capsys.readouterr().out
-        assert main(["store", "gc", "--all", "--store-dir", str(tmp_path)]) == 0
-        assert store.count() == 0
+        assert main(["gc", "--all", "--store-dir", str(tmp_path)]) == 0
+        assert runs.get("dd" + "0" * 62) is None
+        assert list(runs.runs.iterdir()) == []
+        assert (tmp_path / "journal.jsonl").read_text() == "{}\n"
 
 
 class TestMetricsSurfacing:

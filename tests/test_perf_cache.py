@@ -27,6 +27,7 @@ from repro.perf.cache import (
     import_closure,
     repo_fingerprint,
 )
+from repro.perf import store
 from repro.perf.cache import main as cache_main
 from repro.perf.sweep import (
     PARALLEL_MIN_POINTS_ENV,
@@ -144,7 +145,7 @@ class TestRunCache:
         cache = RunCache(tmp_path)
         with activate(cache):
             SweepRunner(1).map(POINTS)
-            objects = sorted((tmp_path / "objects").glob("*/*.pkl"))
+            objects = sorted((tmp_path / "points").glob("*/entry.pkl"))
             assert len(objects) == 6
             blob = bytearray(objects[0].read_bytes())
             blob[-1] ^= 0xFF  # flip one payload bit
@@ -159,7 +160,7 @@ class TestRunCache:
         cache = RunCache(tmp_path)
         with activate(cache):
             SweepRunner(1).map(POINTS[:1])
-            path = next((tmp_path / "objects").glob("*/*.pkl"))
+            path = next((tmp_path / "points").glob("*/entry.pkl"))
             path.write_bytes(path.read_bytes()[:10])
             assert SweepRunner(1).map(POINTS[:1]) == EXPECT[:1]
         assert cache.stats.corrupt == 1
@@ -185,7 +186,7 @@ class TestRunCache:
     def test_no_active_cache_means_no_cache_io(self, tmp_path):
         cache = RunCache(tmp_path)
         assert SweepRunner(1).map(POINTS) == EXPECT
-        assert not (tmp_path / "objects").exists()
+        assert list(tmp_path.iterdir()) == []
         assert cache.stats.misses == 0
 
 
@@ -271,7 +272,7 @@ class TestCacheTool:
     def test_verify_detects_stale_result(self, tmp_path, capsys):
         cache = self._populate(tmp_path)
         # forge a plausible-but-wrong entry: valid digest, wrong result
-        path = sorted((tmp_path / "objects").glob("*/*.pkl"))[0]
+        path = sorted((tmp_path / "points").glob("*/entry.pkl"))[0]
         entry = cache._decode(path.read_bytes())
         entry["result"] = 424242
         path.write_bytes(cache._encode(entry))
@@ -284,7 +285,7 @@ class TestCacheTool:
 
     def test_verify_counts_corrupt_files(self, tmp_path, capsys):
         self._populate(tmp_path)
-        path = sorted((tmp_path / "objects").glob("*/*.pkl"))[0]
+        path = sorted((tmp_path / "points").glob("*/entry.pkl"))[0]
         path.write_bytes(b"garbage")
         assert cache_main(["verify", "--cache-dir", str(tmp_path)]) == 1
         assert "1 corrupt" in capsys.readouterr().out
@@ -295,12 +296,47 @@ class TestCacheTool:
             ["gc", "--cache-dir", str(tmp_path), "--max-bytes", "0"]
         ) == 0
         assert "removed 6 entries" in capsys.readouterr().out
-        assert list(cache.entries()) == []
+        assert list(cache.points.iterdir()) == []
 
     def test_gc_all_wipes_cost_sidecars_too(self, tmp_path):
         self._populate(tmp_path)
+        assert len(list((tmp_path / "costs").glob("*.json"))) == 6
         assert cache_main(["gc", "--cache-dir", str(tmp_path), "--all"]) == 0
-        assert not list((tmp_path / "costs").glob("*/*.json"))
+        assert not list((tmp_path / "costs").iterdir())
+
+    def test_old_layout_reads_as_empty(self, tmp_path, capsys):
+        """Directories written in the older nested layout
+        (``objects/<k[:2]>/<k>.pkl``, ``runs/<k[:2]>/<k>/``) read as
+        empty: no hit, nothing counted, nothing reported corrupt."""
+        from repro.serve.store import RunStore
+
+        cache = RunCache(tmp_path / "cache")
+        fp = code_fingerprint("tests.test_perf_cache")
+        key = cache.key_for(POINTS[0], fp, "")
+        old_entry = tmp_path / "cache" / "objects" / key[:2] / f"{key}.pkl"
+        old_entry.parent.mkdir(parents=True)
+        old_entry.write_bytes(cache._encode({
+            "schema": 1, "key": key, "fn": POINTS[0].fn,
+            "kwargs": dict(POINTS[0].kwargs), "fingerprint": fp,
+            "obs_key": "", "result": EXPECT[0], "obs": None, "cost": 0.1,
+            "created": 0.0,
+        }))
+        run_key = "cd" + "1" * 62
+        old_run = tmp_path / "store" / "runs" / run_key[:2] / run_key
+        old_run.mkdir(parents=True)
+        (old_run / "report.txt").write_bytes(b"table\n")
+        (old_run / "entry.json").write_text(json.dumps({
+            "schema": 1, "key": run_key, "artifacts": ["report.txt"],
+            "experiment": "fig8",
+        }))
+        assert cache.get(key, POINTS[0]) is None
+        assert RunStore(tmp_path / "store").get(run_key) is None
+        assert cache_main(["stats", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert cache_main(["stats", "--store-dir", str(tmp_path / "store")]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   0 (" in out and "runs:      0 (" in out
+        assert cache_main(["verify", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert "0 corrupt" in capsys.readouterr().out
 
     def test_fingerprint_prints_hex(self, tmp_path, capsys):
         assert cache_main(["fingerprint"]) == 0
@@ -351,7 +387,7 @@ class TestScheduling:
         fp = code_fingerprint("tests.test_perf_cache")
         for p, cost in ((POINTS[0], 0.001), (POINTS[1], 9.0)):
             cache.put(cache.key_for(p, fp, ""), p, fp, "", 0, None, cost)
-            cache._obj_path(cache.key_for(p, fp, "")).unlink()
+            store.delete(cache.points, cache.key_for(p, fp, ""))
 
         def rank(i):  # mirrors SweepRunner._run_misses ordering
             cost = cache.recorded_cost(POINTS[i])
@@ -362,9 +398,9 @@ class TestScheduling:
 
 
 # ----------------------------------------------------------------------
-# Concurrent writers (ISSUE 6 satellite): many threads and processes
-# hammering ONE key must never corrupt the entry or leak temp files —
-# write-to-temp + atomic rename with per-(pid, thread, seq) temp names.
+# Concurrent writers: many threads and processes hammering ONE key read
+# back the right result every time, and the shared hit/store counters
+# stay exact (publish mechanics themselves: tests/test_store.py).
 # ----------------------------------------------------------------------
 HAMMER_POINT = SweepPoint("tests.test_perf_cache:_cube", {"x": 7})
 HAMMER_FP = "f" * 64
@@ -413,17 +449,12 @@ class TestConcurrentWriters:
             p.join(60.0)
         assert not errors
         assert all(p.exitcode == 0 for p in procs)
-        # the surviving entry decodes cleanly and no writer ever saw a
-        # torn file (every reader above checked); shared stats stayed
+        # the surviving entry decodes cleanly; shared stats stayed
         # coherent under the lock
         final = cache.get(key, HAMMER_POINT)
         assert final is not None and final["result"] == 343
         assert cache.stats.hits == 4 * 30 + 1
         assert cache.stats.stores == 4 * 30
-        # no half-written temp files left anywhere in the cache tree
-        assert list(tmp_path.rglob("*.tmp")) == []
-        # exactly one object file for the key
-        assert len(list((tmp_path / "objects").glob("*/*.pkl"))) == 1
 
     def test_stats_bump_rejects_unknown_field(self):
         from repro.perf.cache import CacheStats

@@ -55,7 +55,7 @@ class FakeExecutor:
     def key_for(self, spec: dict) -> str:
         return f"key-{spec['name']}"
 
-    def execute(self, spec, should_cancel):
+    def execute(self, spec, should_cancel, progress=None, job_info=None):
         name = spec["name"]
         started = self.started.get(name)
         if started is not None:

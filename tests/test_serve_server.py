@@ -107,7 +107,7 @@ class TestRouting:
         assert app.handle("POST", "/v1/jobs", notint).status == 400
 
     def test_handler_bug_is_500_not_crash(self, app):
-        app.store.count = lambda: 1 / 0  # sabotage one metrics gauge
+        app.orchestrator.queue_depth = lambda: 1 / 0  # sabotage one metrics gauge
         resp = app.handle("GET", "/v1/metrics")
         assert resp.status == 500
         assert "ZeroDivisionError" in resp.json()["error"]
