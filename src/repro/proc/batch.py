@@ -546,6 +546,135 @@ class SpinBatch(_BatchBase):
         self._issue_load(self.addr, acquire=True)
 
 
+class PollBatch:
+    """Poll rounds of Compute(quantum) then one LoadAcquire per address
+    until ``ready(*values)`` holds (resumes True) or the rounds run out
+    (resumes False).
+
+    The schedulers build one per idle probe and per steal-reply wait,
+    thousands per run. So construction copies the effect's fields and
+    little else: unlike :class:`_BatchBase` it prebinds no callbacks or
+    cache references, and each element looks up the few it needs. A
+    compute, or a load that hits, completes through an inline callback
+    that makes ``Processor._complete``'s interruptible-point checks and
+    falls back to it when one applies. Every other load (a miss,
+    store-to-load forwarding) is the real micro effect issued through
+    ``Processor._execute``, and so is every element of an observed
+    batch, which builds its Compute and LoadAcquire effects once and
+    reissues them every round.
+    """
+
+    __slots__ = ("proc", "ctx", "observed", "quantum", "left", "ready",
+                 "addrs", "n", "values", "k", "_effects")
+
+    def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
+        self.proc = proc
+        self.ctx = ctx
+        self.quantum = eff.quantum
+        self.left = eff.rounds  # rounds still to start; None: no limit
+        self.ready = eff.ready
+        self.addrs = addrs = eff.addrs
+        self.n = n = len(addrs)
+        self.values = [None] * n
+        #: element of the round in flight: 0 the compute, j + 1 the load
+        #: of addrs[j]; -1 before the first round
+        self.k = -1
+        self.observed = observed = bool(
+            proc.before_execute or proc.after_execute
+            or proc.coherence.before_access
+        )
+        if observed:
+            self._effects = (
+                fx.Compute(eff.quantum), *map(fx.LoadAcquire, addrs)
+            )
+
+    def step(self, value: Any) -> None:
+        k = self.k
+        if k >= 0:
+            if k:
+                self.values[k - 1] = value
+            if k < self.n:
+                self.k = k + 1
+                self._load(k)
+                return
+            # the round's last element completed: where the micro
+            # program's generator resumes and tests ready
+            if self.ready(*self.values):
+                self._resume(True)
+                return
+        left = self.left
+        if left is not None:
+            if not left:
+                self._resume(False)
+                return
+            self.left = left - 1
+        self.k = 0
+        proc = self.proc
+        pstats = proc.stats
+        pstats.effects += 1
+        if self.observed:
+            proc._execute(self.ctx, self._effects[0])
+            return
+        c = self.quantum * proc.p.compute_unit
+        pstats.busy_cycles += c
+        proc.sim.call_after(c, self._computed)
+
+    def _load(self, j: int) -> None:
+        proc = self.proc
+        proc.stats.effects += 1
+        if self.observed:
+            proc._execute(self.ctx, self._effects[j + 1])
+            return
+        addr = self.addrs[j]
+        if not proc._store_buffer:
+            # Cache.lookup's read hit, inline (as in _BatchBase._issue_load)
+            coh = proc.coherence
+            cache = coh.caches[proc.node]
+            lines = cache._lines
+            line = addr & coh._line_mask
+            st = lines.get(line)
+            if st is not None and st is not _INVALID:
+                lines.move_to_end(line)
+                cache.stats.hits += 1
+                proc.sim.call_after(coh.p.load_hit, self._loaded)
+                return
+        proc._execute(self.ctx, fx.LoadAcquire(addr))
+
+    def _computed(self) -> None:
+        ctx = self.ctx
+        ctx.miss_pending = False
+        proc = self.proc
+        if not ctx.is_handler and (
+            proc.in_handler
+            or (proc.cmmu.in_queue and not proc.imask)
+            or ctx in proc._stalled
+        ):
+            proc._complete(ctx)
+            return
+        self.step(None)
+
+    def _loaded(self) -> None:
+        proc = self.proc
+        store = proc.store
+        store.reads += 1
+        value = store._mem.get(self.addrs[self.k - 1], 0)
+        ctx = self.ctx
+        ctx.miss_pending = False
+        if not ctx.is_handler and (
+            proc.in_handler
+            or (proc.cmmu.in_queue and not proc.imask)
+            or ctx in proc._stalled
+        ):
+            proc._complete(ctx, value)
+            return
+        self.step(value)
+
+    def _resume(self, result: bool) -> None:
+        ctx = self.ctx
+        ctx.batch = None
+        self.proc._step(ctx, result)
+
+
 #: macro effect class -> batch runner
 BATCH_CLASSES = {
     fx.ComputeLoad: ComputeLoadBatch,
@@ -553,4 +682,5 @@ BATCH_CLASSES = {
     fx.StoreRun: StoreRunBatch,
     fx.Repeat: RepeatBatch,
     fx.SpinUntilGE: SpinBatch,
+    fx.Poll: PollBatch,
 }

@@ -19,10 +19,11 @@ DMA.
 Macro-effects
 -------------
 Hot inner loops (the jacobi halo reads, the memcpy doubleword loop,
-the accum consume loop, barrier spins) spend most of their host time
-resuming the generator once per element. The macro-effects
-(:class:`ComputeLoad`, :class:`LoadComputeStore`, :class:`StoreRun`,
-:class:`Repeat`, :class:`SpinUntilGE`) describe the whole loop in one
+the accum consume loop, barrier spins, the schedulers' idle polls)
+spend most of their host time resuming the generator once per
+element. The macro-effects (:class:`ComputeLoad`,
+:class:`LoadComputeStore`, :class:`StoreRun`, :class:`Repeat`,
+:class:`SpinUntilGE`, :class:`Poll`) describe the whole loop in one
 yielded object; the processor's batch runner
 (:mod:`repro.proc.batch`) then drives the per-element micro-operations
 itself — same events, same cycle accounting, same interrupt points,
@@ -291,6 +292,43 @@ class SpinUntilGE:
             raise ValueError(f"negative spin backoff {self.backoff}")
 
 
+@dataclass(slots=True)
+class Poll:
+    """Batched busy-wait: up to ``rounds`` rounds (None: no limit) of
+    ``Compute(quantum)`` followed by one LoadAcquire per address in
+    ``addrs``; resumes with True as soon as ``ready(*values)`` holds for
+    a round's loaded values, and with False when the rounds run out.
+
+    Equivalent micro program::
+
+        n = 0
+        while rounds is None or n < rounds:
+            yield Compute(quantum)
+            values = []
+            for a in addrs:
+                values.append((yield LoadAcquire(a)))
+            if ready(*values):
+                return True
+            n += 1
+        return False
+
+    ``ready`` runs where that generator would have resumed, so it sees
+    whatever a message handler that borrowed the pipeline meanwhile
+    changed (a steal reply, an invoked task).
+    """
+
+    quantum: int
+    rounds: int | None
+    ready: Callable[..., Any]
+    addrs: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.quantum < 0:
+            raise ValueError(f"negative poll quantum {self.quantum}")
+        if self.rounds is not None and self.rounds < 0:
+            raise ValueError(f"negative poll rounds {self.rounds}")
+
+
 def _check_batch(count: int, stride: int, compute: int, prefetch_line: int) -> None:
     if count < 0:
         raise ValueError(f"negative batch count {count}")
@@ -306,10 +344,10 @@ def _check_batch(count: int, stride: int, compute: int, prefetch_line: int) -> N
         )
 
 
-MACRO_EFFECTS = (ComputeLoad, LoadComputeStore, StoreRun, Repeat, SpinUntilGE)
+MACRO_EFFECTS = (ComputeLoad, LoadComputeStore, StoreRun, Repeat, SpinUntilGE, Poll)
 
 Effect = (
     Compute | Load | Store | LoadAcquire | StoreRelease | Prefetch | FetchOp
     | Send | Storeback | SetIMask | Suspend | Yield | Fence
-    | ComputeLoad | LoadComputeStore | StoreRun | Repeat | SpinUntilGE
+    | ComputeLoad | LoadComputeStore | StoreRun | Repeat | SpinUntilGE | Poll
 )

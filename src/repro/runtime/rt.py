@@ -76,6 +76,20 @@ class RuntimeParams:
     #: capped) — amortizes the locked queue visit over migrations
     sm_steal_batch: int = 2
 
+    def __post_init__(self) -> None:
+        # a zero quantum polls without the clock advancing and a zero
+        # backoff doubles to zero forever; a cap below the initial
+        # backoff would shrink it
+        if self.poll_quantum < 1:
+            raise ValueError(f"poll_quantum must be >= 1, got {self.poll_quantum}")
+        if self.steal_backoff < 1:
+            raise ValueError(f"steal_backoff must be >= 1, got {self.steal_backoff}")
+        if self.steal_backoff_max < self.steal_backoff:
+            raise ValueError(
+                f"steal_backoff_max ({self.steal_backoff_max}) is below "
+                f"steal_backoff ({self.steal_backoff})"
+            )
+
 
 class Runtime:
     """Machine-wide runtime: one scheduler per node plus the task table."""

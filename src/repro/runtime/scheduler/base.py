@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from repro.proc.effects import Compute
+from repro.proc.effects import Poll
 from repro.runtime.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class NodeScheduler(abc.ABC):
     """Per-node scheduler: a task queue plus work-finding policy."""
+
+    #: the idle backoff's local-queue test (set by each scheduler kind):
+    #: called with the values of one LoadAcquire of each word in
+    #: ``poll_addrs``, true once local work appeared
+    poll_ready: Callable[..., Any]
+    poll_addrs: tuple[int, ...] = ()
 
     def __init__(self, rt: Runtime, node: int) -> None:
         self.rt = rt
@@ -56,11 +62,6 @@ class NodeScheduler(abc.ABC):
     @abc.abstractmethod
     def queue_length(self) -> int:
         """Instantaneous local queue occupancy (diagnostics only)."""
-
-    @abc.abstractmethod
-    def poll_work(self) -> Generator:
-        """Cheap check used inside the idle backoff loop; yields
-        effects, returns True when local work appeared."""
 
     def register_metrics(self, reg, **labels) -> None:
         """Register this scheduler's instruments (lazy reads) into a
@@ -116,12 +117,11 @@ class NodeScheduler(abc.ABC):
                 return
         # failed probe: back off exponentially (capped) so idle
         # processors do not saturate victims' queues or the network —
-        # but keep polling the local queue so an invoked/migrated task
-        # is dispatched promptly (§4.3's Tinvokee depends on this)
-        waited = 0
-        while waited < self._backoff:
-            yield Compute(self.rt.p.poll_quantum)
-            waited += self.rt.p.poll_quantum
-            if (yield from self.poll_work()):
-                break
-        self._backoff = min(self._backoff * 2, self.rt.p.steal_backoff_max)
+        # but keep polling the local queue every poll_quantum cycles so
+        # an invoked/migrated task is dispatched promptly (§4.3's
+        # Tinvokee depends on this)
+        p = self.rt.p
+        quantum = p.poll_quantum
+        yield Poll(quantum, -(-self._backoff // quantum), self.poll_ready,
+                   self.poll_addrs)
+        self._backoff = min(self._backoff * 2, p.steal_backoff_max)

@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from typing import Generator
 
-from repro.proc.effects import Compute, Send, Yield as YieldEffect
+from repro.proc.effects import Compute, Poll, Send, Yield as YieldEffect
 from repro.runtime.scheduler.base import NodeScheduler
 from repro.runtime.task import Task, TaskState
 
@@ -34,6 +34,8 @@ class HybridScheduler(NodeScheduler):
     def __init__(self, rt, node: int) -> None:
         super().__init__(rt, node)
         self._deque: deque[Task] = deque()
+        # the idle backoff polls the deque itself: no shared-memory word
+        self.poll_ready = self._deque.__len__
         #: outstanding steal requests: req_id -> reply box (the thief
         #: spins on the box so it never has two steals in flight)
         self._pending_steals: dict[int, dict] = {}
@@ -86,13 +88,16 @@ class HybridScheduler(NodeScheduler):
         box: dict[str, int] = {}
         self._pending_steals[req_id] = box
         yield from self._send(self.node, victim, MSG_STEAL_REQ, (self.node, req_id))
-        while "tid" not in box:
-            yield Compute(4)  # poll; the reply handler interrupts us
-            if self.rt.reliable is not None:
+        if self.rt.reliable is not None:
+            while "tid" not in box:
+                yield Compute(4)
                 # in reliable mode the pipeline must rotate: a dropped
                 # request is re-sent by a retransmit *thread* on this
                 # very node, and an unbroken spin would starve it
                 yield YieldEffect()
+        elif "tid" not in box:
+            # poll every 4 cycles; the reply handler interrupts us
+            yield Poll(4, None, lambda: "tid" in box)
         del self._pending_steals[req_id]
         tid = box["tid"]
         if tid == 0:
@@ -109,11 +114,6 @@ class HybridScheduler(NodeScheduler):
         receiver's handler."""
         yield Compute(self.rt.p.remote_invoke_marshal)
         yield from self._send(src, dest, MSG_TASK, (task.tid, 0, 0, 0))
-
-    def poll_work(self) -> Generator:
-        if False:  # pragma: no cover - makes this a generator
-            yield
-        return bool(self._deque)
 
     # ------------------------------------------------------------------
     # Handlers (registered by the Runtime on this scheduler's node)

@@ -18,6 +18,7 @@ written only under the lock):
 
 from __future__ import annotations
 
+import operator
 from typing import Generator
 
 from repro.proc.effects import Load, LoadAcquire, Store, StoreRelease
@@ -142,6 +143,12 @@ class ShmemScheduler(NodeScheduler):
             capacity=rt.p.sm_queue_capacity,
             entry_words=rt.p.sm_entry_words,
         )
+        # the idle backoff's unlocked emptiness probe: two shared-memory
+        # reads that hit while the queue stays empty; a remote pusher's
+        # store invalidates our copy, so the next poll misses and sees
+        # the new tail (self-synchronizing)
+        self.poll_ready = operator.ne
+        self.poll_addrs = (self.queue.head_addr, self.queue.tail_addr)
 
     # ------------------------------------------------------------------
     def push(self, task: Task) -> Generator:
@@ -179,14 +186,6 @@ class ShmemScheduler(NodeScheduler):
         head = store.read(self.queue.head_addr)
         tail = store.read(self.queue.tail_addr)
         return tail - head
-
-    def poll_work(self) -> Generator:
-        """Unlocked emptiness probe (two shared-memory reads; a remote
-        pusher's store invalidates our cached copy, so the next poll
-        takes a miss and sees the new tail — self-synchronizing)."""
-        head = yield LoadAcquire(self.queue.head_addr)
-        tail = yield LoadAcquire(self.queue.tail_addr)
-        return head != tail
 
     # ------------------------------------------------------------------
     def _claim(self, tid: int) -> Task | None:

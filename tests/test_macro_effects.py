@@ -1,17 +1,19 @@
 """Macro-effect equivalence guards.
 
 The batched effects (``ComputeLoad``, ``LoadComputeStore``,
-``StoreRun``, ``Repeat``, ``SpinUntilGE``) exist purely to cut host
-overhead: one generator resume per *loop* instead of per element. The
-contract is cycle identity — a macro batch and its documented micro
-equivalent must produce the same simulated time, the same values, the
-same stats, the same trace stream, the same profiler attribution, and
-the same checker findings. These tests pin that contract, including a
-hypothesis sweep that forces coherence misses (batch splits) at random
-elements via a concurrent writer.
+``StoreRun``, ``Repeat``, ``SpinUntilGE``, ``Poll``) exist purely to
+cut host overhead: one generator resume per *loop* instead of per
+element. The contract is cycle identity — a macro batch and its
+documented micro equivalent must produce the same simulated time, the
+same values, the same stats, the same trace stream, the same profiler
+attribution, and the same checker findings. These tests pin that
+contract, including hypothesis sweeps that force coherence misses
+(batch splits) at random elements via a concurrent writer.
 """
 
 from __future__ import annotations
+
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ from repro.proc import (
     Load,
     LoadAcquire,
     LoadComputeStore,
+    Poll,
     Prefetch,
     Repeat,
+    Send,
     SpinUntilGE,
     Store,
     StoreRelease,
@@ -111,6 +115,30 @@ def macro_spin(addr, threshold, backoff=0):
     def gen():
         v = yield SpinUntilGE(addr, threshold, backoff=backoff)
         return v
+
+    return gen()
+
+
+def micro_poll(quantum, rounds, ready, addrs=()):
+    def gen():
+        n = 0
+        while rounds is None or n < rounds:
+            yield Compute(quantum)
+            values = []
+            for a in addrs:
+                values.append((yield LoadAcquire(a)))
+            if ready(*values):
+                return True
+            n += 1
+        return False
+
+    return gen()
+
+
+def macro_poll(quantum, rounds, ready, addrs=()):
+    def gen():
+        ok = yield Poll(quantum, rounds, ready, addrs)
+        return ok
 
     return gen()
 
@@ -262,6 +290,86 @@ class TestMacroMicroIdentity:
         assert r1 == r2 == [1]
         assert m1.processor(0).stats.effects == m2.processor(0).stats.effects
 
+    @staticmethod
+    def _poll_figures(m):
+        c = m.coherence.caches[0].stats
+        return (m.sim.now, m.processor(0).stats.effects,
+                c.hits, c.misses, c.upgrades)
+
+    def test_poll_handler_makes_ready(self):
+        # no addresses, no round limit: a handler that borrowed the
+        # pipeline sets the flag. A poll compute completes mid-handler,
+        # so the poll resumes (and tests ready) only once it returns.
+        def build(m, variant):
+            box = {}
+
+            def on_set(msg):
+                yield Compute(10)
+                box["set"] = msg.operands[0]
+
+            m.processor(0).register_handler("set", on_set)
+            fn = micro_poll if variant == "micro" else macro_poll
+            out = []
+            m.processor(0).run_thread(
+                fn(3, None, lambda: "set" in box), on_finish=out.append,
+                label="poller",
+            )
+
+            def sender():
+                yield Compute(40)
+                yield Send(0, "set", operands=(1,))
+
+            m.processor(1).run_thread(sender(), label="sender")
+            return out
+
+        (m1, r1, _), (m2, r2, _) = run_pair(build)
+        assert r1 == r2 == [True]
+        assert r2[0] is True  # not merely truthy
+        assert self._poll_figures(m1) == self._poll_figures(m2)
+        assert m2.processor(0).stats.handlers_run == 1
+
+    @pytest.mark.parametrize("rounds", [60, None])
+    def test_poll_remote_writer_splits_batch(self, rounds):
+        # two polled words on one line homed at node 1: the remote
+        # release invalidates the poller's copy, so a later poll load
+        # misses and sees the new tail
+        def build(m, variant):
+            head = m.alloc(1, 16)
+            tail = head + 8
+            fn = micro_poll if variant == "micro" else macro_poll
+            out = []
+            m.processor(0).run_thread(
+                fn(5, rounds, operator.ne, (head, tail)),
+                on_finish=out.append, label="poller",
+            )
+
+            def writer():
+                yield Compute(150)
+                yield StoreRelease(tail, 1)
+
+            m.processor(1).run_thread(writer(), label="writer")
+            return out
+
+        (m1, r1, _), (m2, r2, _) = run_pair(build)
+        assert r1 == r2 == [True]
+        assert self._poll_figures(m1) == self._poll_figures(m2)
+        assert m2.coherence.caches[0].stats.misses >= 2  # fill, re-fill
+
+    def test_poll_rounds_expire(self):
+        def build(m, variant):
+            head = m.alloc(1, 16)
+            fn = micro_poll if variant == "micro" else macro_poll
+            out = []
+            m.processor(0).run_thread(
+                fn(4, 6, operator.ne, (head, head + 8)), on_finish=out.append
+            )
+            return out
+
+        (m1, r1, _), (m2, r2, _) = run_pair(build)
+        assert r1 == r2 == [False]
+        assert self._poll_figures(m1) == self._poll_figures(m2)
+        assert m2.processor(0).stats.effects == 6 * 3
+
 
 # ----------------------------------------------------------------------
 # Observer identity: the batch runner must be invisible to tracer,
@@ -286,42 +394,80 @@ class TestObserverIdentity:
         m.processor(1).run_thread(writer(), label="writer")
         return base
 
-    def test_trace_stream_identical(self):
+    def _poll_build(self, m, variant):
+        # a remote release invalidates the polled line mid-poll (a miss
+        # split); the poller's plain read afterwards races with the
+        # writer's plain store after its release
+        words = m.alloc(1, 16)
+        data = m.alloc(2, 8)
+        fn = micro_poll if variant == "micro" else macro_poll
+
+        def poller():
+            yield from fn(3, None, operator.ne, (words, words + 8))
+            yield Load(data)
+
+        m.processor(0).run_thread(poller(), label="poller")
+
+        def writer():
+            yield Compute(120)
+            yield StoreRelease(words + 8, 1)
+            yield Store(data, 7)
+
+        m.processor(1).run_thread(writer(), label="writer")
+        return data
+
+    def _check_trace(self, build, macro_name, element_name):
         from repro.trace.tracer import Tracer
 
         # txn alone too: batched cache hits must still reach the access probe
         for kinds in (("effect", "txn", "packet"), ("txn",)):
             (m1, _, t1), (m2, _, t2) = run_pair(
-                self._racy_build, observe=lambda m: Tracer(m, kinds=kinds)
+                build, observe=lambda m: Tracer(m, kinds=kinds)
             )
             ev1 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t1.events]
             ev2 = [(e.time, e.node, e.kind, e.what, e.detail) for e in t2.events]
             assert ev1 == ev2, kinds
             if "effect" in kinds:
                 # the macro wrapper itself must NOT appear as an effect
-                assert not any("ComputeLoad" in e.what for e in t2.events)
-                assert any(e.what == "Load" for e in t2.events)
+                assert not any(macro_name in e.what for e in t2.events)
+                assert any(e.what == element_name for e in t2.events)
 
-    def test_profiler_buckets_identical(self):
+    def _check_profiler(self, build):
         from repro.obs.profiler import CycleProfiler
 
-        (m1, _, p1), (m2, _, p2) = run_pair(
-            self._racy_build, observe=CycleProfiler
-        )
+        (m1, _, p1), (m2, _, p2) = run_pair(build, observe=CycleProfiler)
         assert p1.per_node() == p2.per_node()
         assert p1.totals() == p2.totals()
 
-    def test_race_detector_equivalent(self):
+    def _check_races(self, build):
         from repro.check import CheckerSet
 
         def observe(m):
             return CheckerSet(m, checks=("race",))
 
-        (m1, _, c1), (m2, _, c2) = run_pair(self._racy_build, observe=observe)
+        (m1, _, c1), (m2, _, c2) = run_pair(build, observe=observe)
         f1 = {(f.kind, f.addr) for f in c1.finalize().findings}
         f2 = {(f.kind, f.addr) for f in c2.finalize().findings}
         assert f1 == f2
         assert f2  # the program really does race
+
+    def test_trace_stream_identical(self):
+        self._check_trace(self._racy_build, "ComputeLoad", "Load")
+
+    def test_profiler_buckets_identical(self):
+        self._check_profiler(self._racy_build)
+
+    def test_race_detector_equivalent(self):
+        self._check_races(self._racy_build)
+
+    def test_poll_trace_stream_identical(self):
+        self._check_trace(self._poll_build, "Poll", "LoadAcquire")
+
+    def test_poll_profiler_buckets_identical(self):
+        self._check_profiler(self._poll_build)
+
+    def test_poll_race_detector_equivalent(self):
+        self._check_races(self._poll_build)
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +540,97 @@ def test_random_batches_with_invalidating_writer(
     assert results[0] == results[1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    quantum=st.integers(min_value=1, max_value=6),
+    rounds=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    n_addrs=st.integers(min_value=0, max_value=2),
+    writer_delay=st.integers(min_value=0, max_value=200),
+)
+def test_random_polls_with_invalidating_writer(
+    quantum, rounds, n_addrs, writer_delay
+):
+    results = []
+    for variant in ("micro", "macro"):
+        m = machine()
+        words = m.alloc(1, 16)
+        addrs = tuple(words + 8 * i for i in range(n_addrs))
+        # ready once the writer's store landed: through the polled words
+        # or, polling none, through a flag the writer sets after it
+        done = {}
+        if addrs:
+            def ready(*values):
+                return any(values)
+        else:
+            def ready():
+                return "stored" in done
+        fn = micro_poll if variant == "micro" else macro_poll
+        out = []
+        m.processor(0).run_thread(
+            fn(quantum, rounds, ready, addrs), on_finish=out.append,
+            label="poller",
+        )
+
+        def writer():
+            if writer_delay:
+                yield Compute(writer_delay)
+            yield Store(words + 8 * max(n_addrs - 1, 0), 1)
+            done["stored"] = True
+
+        m.processor(1).run_thread(writer(), label="writer")
+        m.run()
+        c = m.coherence.caches[0].stats
+        results.append(
+            (m.sim.now, out, c.hits, c.misses, c.upgrades,
+             m.processor(0).stats.effects)
+        )
+    assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# The schedulers' idle backoff and steal-reply waits are Polls: an idle
+# probe resumes its generator a few times, not once per poll element
+# ----------------------------------------------------------------------
+#: (cycles, events) of a 16-node grain run (depth 7, 100-cycle leaves),
+#: identical to what the per-element idle loops simulate
+GRAIN_RUNS = {"sm": (10315, 20410), "hybrid": (5118, 7057)}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAIN_RUNS))
+def test_idle_probes_resume_rarely(kind):
+    from repro.apps.grain import grain_parallel
+    from repro.runtime import Runtime
+    from repro.sim.probe import Subscriptions
+
+    def run(count_steps):
+        m = machine(16)
+        rt = Runtime(m, scheduler=kind)
+        steps = [0]
+        subs = Subscriptions()
+        if count_steps:
+            def before_step(ctx):
+                if ctx.label.startswith("idle@"):
+                    steps[0] += 1
+
+            for node in m.nodes:
+                subs.add(node.processor, "before_step", before_step)
+        result, cycles = rt.run_to_completion(
+            0, lambda rt, nd: grain_parallel(rt, nd, 7, 100)
+        )
+        subs.clear()
+        probes = sum(m.processor(i).stats.idle_probes for i in range(16))
+        return (result, cycles, m.sim.events_processed, probes), steps[0]
+
+    bare, _ = run(False)
+    counted, steps = run(True)
+    # a step probe leaves batches on the unobserved path: the same run
+    assert counted == bare
+    assert bare[0] == 128
+    assert bare[1:3] == GRAIN_RUNS[kind]
+    # resuming once per poll element costs 55 (sm) and 24 (hybrid) a probe
+    assert steps / bare[3] < 10
+
+
 # ----------------------------------------------------------------------
 # Validation and semantics
 # ----------------------------------------------------------------------
@@ -425,6 +662,22 @@ class TestValidation:
     def test_negative_backoff_rejected(self):
         with pytest.raises(ValueError, match="negative spin backoff"):
             SpinUntilGE(0, 1, backoff=-1)
+
+    def test_negative_poll_quantum_rejected(self):
+        with pytest.raises(ValueError, match="negative poll quantum"):
+            Poll(-1, 3, bool)
+
+    def test_negative_poll_rounds_rejected(self):
+        with pytest.raises(ValueError, match="negative poll rounds"):
+            Poll(4, -1, bool)
+
+    def test_zero_round_poll_is_free(self):
+        m = machine()
+        out = []
+        m.processor(0).run_thread(macro_poll(4, 0, bool), on_finish=out.append)
+        m.run()
+        assert out == [False]
+        assert m.processor(0).stats.effects == 0
 
     def test_spin_resumes_with_observed_value(self):
         m = machine()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import Machine, MachineConfig
 from repro.proc import Compute, Load, Store
-from repro.runtime import Future, Runtime, SpinLock, TaskState
+from repro.runtime import Future, Runtime, RuntimeParams, SpinLock, TaskState
 from repro.sim import SimulationError
 
 
@@ -256,3 +256,16 @@ class TestSchedulers:
             cycles.append(c)
         # results equal, schedules (almost surely) differ
         assert cycles[0] != cycles[1]
+
+
+class TestRuntimeParams:
+    # each would livelock the idle loop: a zero quantum polls without
+    # the clock advancing, a zero backoff doubles to zero forever
+    @pytest.mark.parametrize("kw, match", [
+        ({"poll_quantum": 0}, "poll_quantum must be >= 1"),
+        ({"steal_backoff": 0}, "steal_backoff must be >= 1"),
+        ({"steal_backoff": 100, "steal_backoff_max": 50}, "below steal_backoff"),
+    ], ids=["poll_quantum", "steal_backoff", "steal_backoff_max"])
+    def test_idle_loop_livelocks_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            RuntimeParams(**kw)
