@@ -14,9 +14,11 @@ root so every PR leaves a perf trajectory behind:
    wall-clock second.
 3. **Macro-vs-micro ablation** — the same workload with macro-effects
    (``ComputeLoad`` / ``LoadComputeStore`` / ``StoreRun`` /
-   ``SpinUntilGE`` batches) on and off. Event counts and simulated
-   cycles must be identical (the batch runners chain per-element
-   events); only the wall clock may differ.
+   ``SpinUntilGE`` batches) as written, and with every thread wrapped
+   in ``repro.proc.effects.expand`` (each macro-effect replaced by its
+   micro program). Event counts and simulated cycles must be identical
+   (the batch runners chain per-element events); only the wall clock
+   may differ.
 4. **Large-sweep parallel bench** — a 32-point accum sweep big enough
    to clear the SweepRunner's fan-out threshold, serial vs parallel,
    reporting ``parallel_speedup``. On single-cpu hosts this records an
@@ -145,14 +147,26 @@ def engine_microbench(n_events: int = 300_000, repeats: int = 3) -> dict:
 # ----------------------------------------------------------------------
 # 2. Fixed workload events/sec (full machine model)
 # ----------------------------------------------------------------------
+def _program(macro: bool) -> Callable:
+    """How a workload wraps its threads: as written (macro-effects run
+    through the batch runners) or expanded into micro programs."""
+    from repro.proc.effects import expand
+
+    return (lambda gen: gen) if macro else expand
+
+
 def _wl_jacobi(macro: bool = True) -> tuple[int, int]:
     from repro.apps.jacobi import JacobiApp
     from repro.experiments.common import make_machine
 
+    program = _program(macro)
     events = cycles = 0
     for mode in ("sm", "mp"):
         m = make_machine(16)
-        JacobiApp(m, grid_size=64, iters=4, mode=mode, macro=macro).run()
+        app = JacobiApp(m, grid_size=64, iters=4, mode=mode)
+        for node in range(m.n_nodes):
+            m.processor(node).run_thread(program(app.node_thread(node)))
+        m.run()
         events += m.sim.events_processed
         cycles += m.sim.now
     return events, cycles
@@ -160,7 +174,7 @@ def _wl_jacobi(macro: bool = True) -> tuple[int, int]:
 
 def _wl_memcpy(macro: bool = True) -> tuple[int, int]:
     from repro.experiments.common import make_machine, run_thread_timed
-    from repro.proc.effects import ComputeLoad, Load
+    from repro.proc.effects import ComputeLoad
     from repro.runtime.bulk import BulkTransfer, copy_no_prefetch, copy_prefetch
 
     nbytes = 4096
@@ -174,14 +188,10 @@ def _wl_memcpy(macro: bool = True) -> tuple[int, int]:
 
         def bench(m=m, src=src, dst=dst, copier=copier):
             # warm read of the source block
-            if macro:
-                yield ComputeLoad(src, nbytes // 8)
-            else:
-                for i in range(nbytes // 8):
-                    yield Load(src + i * 8)
-            yield from copier(src, dst, nbytes, macro=macro)
+            yield ComputeLoad(src, nbytes // 8)
+            yield from copier(src, dst, nbytes)
 
-        run_thread_timed(m, bench())
+        run_thread_timed(m, _program(macro)(bench()))
         events += m.sim.events_processed
         cycles += m.sim.now
     m = make_machine(4)
@@ -201,9 +211,10 @@ def _wl_barrier(macro: bool = True) -> tuple[int, int]:
     from repro.proc.effects import Compute
     from repro.runtime.barrier import MPTreeBarrier, SMTreeBarrier
 
+    program = _program(macro)
     events = cycles = 0
     for make in (
-        lambda m: SMTreeBarrier(m, arity=2, macro=macro),
+        lambda m: SMTreeBarrier(m, arity=2),
         lambda m: MPTreeBarrier(m, fanout=8),
     ):
         m = make_machine(64)
@@ -215,7 +226,7 @@ def _wl_barrier(macro: bool = True) -> tuple[int, int]:
                 yield Compute(1)
 
         for node in range(64):
-            m.processor(node).run_thread(participant(node))
+            m.processor(node).run_thread(program(participant(node)))
         m.run()
         events += m.sim.events_processed
         cycles += m.sim.now
@@ -245,9 +256,10 @@ def workload_bench(repeats: int = 2, macro: bool = True) -> dict:
 
 
 def ablation_bench(repeats: int = 2) -> dict:
-    """Macro-effects on vs off over the same workload. The batch
-    runners chain per-element events, so events and simulated cycles
-    must match exactly; only wall clock may differ."""
+    """Macro-effects as written vs expanded into their micro programs,
+    over the same workload. The batch runners chain per-element events,
+    so events and simulated cycles must match exactly; only wall clock
+    may differ."""
     macro = workload_bench(repeats, macro=True)
     micro = workload_bench(repeats, macro=False)
     return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.machine.machine import Machine
-from repro.proc.effects import Compute, ComputeLoad, Load, Prefetch
+from repro.proc.effects import Compute, ComputeLoad
 from repro.runtime.bulk import BulkTransfer
 
 #: add + index arithmetic per element beyond the load itself
@@ -33,29 +33,15 @@ def fill_array(machine: Machine, addr: int, n_elems: int, seed: int = 1) -> list
 
 
 def accum_shared_memory(
-    array_addr: int, n_elems: int, line_size: int = 16, macro: bool = True
+    array_addr: int, n_elems: int, line_size: int = 16
 ) -> Generator:
     """Sum the (remote) array through coherent loads with one-block-
-    ahead prefetching; returns the sum.
-
-    ``macro=True`` (default) issues the whole loop as one
-    :class:`~repro.proc.effects.ComputeLoad` batch — cycle-identical
-    to the per-element loop (``macro=False``, kept for the ablation
-    and identity tests)."""
-    if macro:
-        values = yield ComputeLoad(
-            array_addr, n_elems, compute=ADD_COST, prefetch_line=line_size
-        )
-        return sum(values)
-    total = 0
-    per_line = line_size // 8
-    for i in range(n_elems):
-        if i % per_line == 0 and (i + per_line) < n_elems:
-            yield Prefetch(array_addr + (i + per_line) * 8)
-        v = yield Load(array_addr + i * 8)
-        total += v
-        yield Compute(ADD_COST)
-    return total
+    ahead prefetching (one :class:`~repro.proc.effects.ComputeLoad`
+    loop); returns the sum."""
+    values = yield ComputeLoad(
+        array_addr, n_elems, compute=ADD_COST, prefetch_line=line_size
+    )
+    return sum(values)
 
 
 def accum_message_passing(
@@ -64,7 +50,6 @@ def accum_message_passing(
     array_addr: int,
     local_buf: int,
     n_elems: int,
-    macro: bool = True,
 ) -> Generator:
     """Request the whole array via a fetch message; the owner bulk-DMAs
     it back; sum out of local memory. Returns the sum.
@@ -78,15 +63,8 @@ def accum_message_passing(
     # pull protocol: ask the owner to push the array to us
     yield from _request_fetch(bulk, owner_node, array_addr, local_buf, nbytes, cid)
     yield from bulk.arrival_future(cid).wait()
-    if macro:
-        values = yield ComputeLoad(local_buf, n_elems, compute=ADD_COST)
-        return sum(values)
-    total = 0
-    for i in range(n_elems):
-        v = yield Load(local_buf + i * 8)
-        total += v
-        yield Compute(ADD_COST)
-    return total
+    values = yield ComputeLoad(local_buf, n_elems, compute=ADD_COST)
+    return sum(values)
 
 
 def accum_message_pipelined(
@@ -96,7 +74,6 @@ def accum_message_pipelined(
     local_buf: int,
     n_elems: int,
     chunk_elems: int = 64,
-    macro: bool = True,
 ) -> Generator:
     """The paper's §4.4 speculation, implemented: break the transfer
     into chunks and overlap summing chunk k with transferring chunk
@@ -126,14 +103,8 @@ def accum_message_pipelined(
     total = 0
     for off, size, cid in chunks:
         yield from bulk.arrival_future(cid).wait()
-        if macro:
-            values = yield ComputeLoad(local_buf + off * 8, size, compute=ADD_COST)
-            total += sum(values)
-            continue
-        for i in range(off, off + size):
-            v = yield Load(local_buf + i * 8)
-            total += v
-            yield Compute(ADD_COST)
+        values = yield ComputeLoad(local_buf + off * 8, size, compute=ADD_COST)
+        total += sum(values)
     return total
 
 

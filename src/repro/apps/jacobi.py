@@ -31,10 +31,7 @@ from repro.machine.machine import Machine
 from repro.proc.effects import (
     Compute,
     ComputeLoad,
-    Load,
-    LoadAcquire,
     SpinUntilGE,
-    Store,
     StoreRelease,
     StoreRun,
 )
@@ -92,20 +89,15 @@ class JacobiApp:
         mode: str = "sm",
         omega: float = 0.9,
         converge_eps: float | None = None,
-        macro: bool = True,
     ) -> None:
         """``iters`` bounds the iteration count; with ``converge_eps``
         set, nodes additionally all-reduce their residual each
         iteration (a real solver's stopping test) and stop early once
-        the global max-residual drops below eps. ``macro`` batches the
-        edge-publish, flag-spin and halo-read loops into macro-effects
-        (cycle-identical; False keeps the per-element loops for the
-        ablation and identity tests)."""
+        the global max-residual drops below eps."""
         if mode not in ("sm", "mp"):
             raise ValueError(f"mode must be 'sm' or 'mp', got {mode!r}")
         self.machine = machine
         self.mode = mode
-        self.macro = macro
         self.iters = iters
         self.omega = omega
         self.converge_eps = converge_eps
@@ -217,12 +209,7 @@ class JacobiApp:
             # 1. publish my edges (identical cost in both variants)
             for d in st.neighbors:
                 vals = self._edge_values(st, d)
-                base = st.edge_addr[d][parity]
-                if self.macro:
-                    yield StoreRun(base, [float(v) for v in vals])
-                else:
-                    for i, v in enumerate(vals):
-                        yield Store(base + i * 8, float(v))
+                yield StoreRun(st.edge_addr[d][parity], [float(v) for v in vals])
             # 2. exchange
             if self.mode == "sm":
                 yield from self._exchange_sm(node, st, it)
@@ -257,14 +244,7 @@ class JacobiApp:
             yield StoreRelease(st.flag_addr[d], it + 1)
         for d, nbr in st.neighbors.items():
             nbr_st = self.states[nbr]
-            if self.macro:
-                yield SpinUntilGE(nbr_st.flag_addr[_OPP[d]], it + 1, backoff=8)
-            else:
-                while True:
-                    flag = yield LoadAcquire(nbr_st.flag_addr[_OPP[d]])
-                    if flag >= it + 1:
-                        break
-                    yield Compute(8)
+            yield SpinUntilGE(nbr_st.flag_addr[_OPP[d]], it + 1, backoff=8)
             base = nbr_st.edge_addr[_OPP[d]][parity]
             vals = yield from self._read_edge(base)
             self._set_halo(st, d, vals)
@@ -288,14 +268,8 @@ class JacobiApp:
 
     def _read_edge(self, base: int) -> Generator:
         """Read one b-element edge/halo array with coherent loads."""
-        if self.macro:
-            raw = yield ComputeLoad(base, self.b)
-            return np.asarray(raw, dtype=np.float64)
-        vals = np.empty(self.b, dtype=np.float64)
-        for i in range(self.b):
-            v = yield Load(base + i * 8)
-            vals[i] = v
-        return vals
+        raw = yield ComputeLoad(base, self.b)
+        return np.asarray(raw, dtype=np.float64)
 
     def _cid(self, src_node: int, d: str, it: int) -> int:
         """Deterministic copy id for (sender, direction, iteration)."""

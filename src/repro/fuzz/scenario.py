@@ -26,8 +26,8 @@ Three outcomes short-circuit to a verdict:
   the macro-vs-micro differential comparison.
 
 Macro-vs-micro: a checked run subscribes to the processor's effect
-probes, which forces the batch runner down the per-element micro path;
-the unchecked replay takes the macro path. The two are guaranteed
+probes, so its processors run each macro-effect's micro program;
+the unchecked replay takes the batch runners. The two are guaranteed
 cycle-identical, so ``diff_macro`` replays the scenario without
 checkers and compares cycles and results — any daylight is a bug in
 the batch runner's equivalence, found for free.

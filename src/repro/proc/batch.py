@@ -4,7 +4,7 @@ A macro-effect (:class:`~repro.proc.effects.ComputeLoad` and friends)
 describes a whole hot loop in one yielded object. The processor's
 ``_step`` routes the context to one of these batch runners, which
 issues the loop's micro-operations one at a time through the *same*
-machinery a hand-written ``yield``-per-element loop uses: loads and
+machinery the effect's micro program (``eff.micro()``) uses: loads and
 stores go through ``CoherenceEngine.access`` (hit fast path and MSHR
 miss path alike), completions route through ``Processor._complete``
 (so handler borrowing, deferred resumptions, miss context switches and
@@ -21,13 +21,12 @@ simply does not advance until the fill (or a handler's deferred drain)
 delivers the element's completion — the batch splits at the faulting
 element for free.
 
-Observability: when an observer subscribes to the processor's effect
-probes or the coherence engine's access probe (:mod:`repro.sim.probe`),
-the batch materializes each element as a real micro effect object and
-feeds it through ``Processor._execute``, so observers see the exact
-per-element stream (same classes, same addresses, same cycles, every
-cache hit's access) a micro program produces. Unobserved runs take an
-inline fast path with identical timing.
+Observability: a processor with an effect probe subscriber, or whose
+coherence engine has an access probe subscriber (:mod:`repro.sim.probe`),
+runs every macro-effect through :class:`MicroBatch` instead, which
+feeds each element of ``eff.micro()`` through ``Processor._execute``,
+so observers see exactly the per-element stream the micro program
+yields. ``Repeat`` always runs that way.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class _BatchBase:
     batch instead of one closure per element."""
 
     __slots__ = (
-        "proc", "ctx", "observed", "_addr", "_value",
+        "proc", "ctx", "_addr", "_value",
         "_cb_plain", "_cb_read", "_cb_fwd", "_cb_write",
         "_call_after", "_cache_lines", "_cache_stats", "_line_mask",
         "_load_hit", "_store_hit", "_compute_unit", "_pstats", "_store",
@@ -68,11 +67,6 @@ class _BatchBase:
     def __init__(self, proc: "Processor", ctx: "Context") -> None:
         self.proc = proc
         self.ctx = ctx
-        # an observer wants the per-element effect (or access) stream
-        self.observed = bool(
-            proc.before_execute or proc.after_execute
-            or proc.coherence.before_access
-        )
         self._cb_plain = self._done_plain
         self._cb_read = self._done_read
         self._cb_fwd = self._done_fwd
@@ -167,20 +161,12 @@ class _BatchBase:
     # -- micro-op issue ------------------------------------------------
     def _issue_compute(self, cycles: int) -> None:
         self._pstats.effects += 1
-        if self.observed:
-            self.proc._execute(self.ctx, fx.Compute(cycles))
-            return
         c = cycles * self._compute_unit
         self._pstats.busy_cycles += c
         self._call_after(c, self._cb_plain)
 
-    def _issue_load(self, addr: int, acquire: bool = False) -> None:
+    def _issue_load(self, addr: int) -> None:
         self._pstats.effects += 1
-        if self.observed:
-            self.proc._execute(
-                self.ctx, fx.LoadAcquire(addr) if acquire else fx.Load(addr)
-            )
-            return
         proc = self.proc
         if proc._store_buffer:
             forwarded = proc._forward_from_store_buffer(addr)
@@ -200,14 +186,8 @@ class _BatchBase:
         if not proc.coherence.access(proc.node, addr, _READ, self._cb_read):
             proc._maybe_miss_switch(self.ctx)
 
-    def _issue_store(self, addr: int, value: Any, release: bool = False) -> None:
+    def _issue_store(self, addr: int, value: Any) -> None:
         self._pstats.effects += 1
-        if self.observed:
-            self.proc._execute(
-                self.ctx,
-                fx.StoreRelease(addr, value) if release else fx.Store(addr, value),
-            )
-            return
         proc = self.proc
         if proc.p.store_buffer_depth > 0:
             proc._buffered_store(self.ctx, addr, value)
@@ -237,9 +217,6 @@ class _BatchBase:
     def _issue_prefetch(self, addr: int) -> None:
         proc = self.proc
         proc.stats.effects += 1
-        if self.observed:
-            proc._execute(self.ctx, fx.Prefetch(addr))
-            return
         proc.coherence.access(proc.node, addr, _PREFETCH_KIND, self._cb_plain)
 
     # -- batch end -----------------------------------------------------
@@ -411,40 +388,6 @@ class StoreRunBatch(_BatchBase):
         self._issue_store(self.base + i * self.stride, vals[i])
 
 
-class RepeatBatch(_BatchBase):
-    """Execute the body effect sequence count times, results discarded."""
-
-    __slots__ = ("body", "blen", "total", "k")
-
-    def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
-        super().__init__(proc, ctx)
-        self.body = eff.body
-        self.blen = len(eff.body)
-        self.total = eff.count * self.blen
-        self.k = -1
-
-    def step(self, value: Any) -> None:
-        self.k += 1
-        k = self.k
-        if k >= self.total:
-            self._resume(None)
-            return
-        op = self.body[k % self.blen]
-        cls = op.__class__
-        if cls is fx.Compute:
-            self._issue_compute(op.cycles)
-        elif cls is fx.Load:
-            self._issue_load(op.addr)
-        elif cls is fx.LoadAcquire:
-            self._issue_load(op.addr, acquire=True)
-        elif cls is fx.Store:
-            self._issue_store(op.addr, op.value)
-        elif cls is fx.StoreRelease:
-            self._issue_store(op.addr, op.value, release=True)
-        else:  # fx.Prefetch — body contents validated at construction
-            self._issue_prefetch(op.addr)
-
-
 class SpinBatch(_BatchBase):
     """Acquire-spin until the loaded value reaches the threshold."""
 
@@ -459,16 +402,13 @@ class SpinBatch(_BatchBase):
         self._line = eff.addr & self._line_mask
         # spins complete thousands of probe loads and backoffs;
         # collapse the _done_* -> step state-machine detours into
-        # spin-specific callbacks. These callbacks only ever fire on
-        # unobserved batches (observed loads route through _execute and
-        # complete via _complete -> step), so the inlined issue paths
-        # below need no ``observed`` branch.
+        # spin-specific callbacks
         self._cb_read = self._spin_probe
         self._cb_plain = self._backoff_done
 
     def _reload(self, proc: "Processor") -> None:
-        """_issue_load(self.addr, acquire=True), inlined for the fixed
-        spin address (line base precomputed at batch construction)."""
+        """_issue_load(self.addr), inlined for the fixed spin address
+        (line base precomputed at batch construction)."""
         self._pstats.effects += 1
         if proc._store_buffer:
             forwarded = proc._forward_from_store_buffer(self.addr)
@@ -543,50 +483,27 @@ class SpinBatch(_BatchBase):
                 self._issue_compute(self.backoff)
                 return
         self.state = _LOAD
-        self._issue_load(self.addr, acquire=True)
+        self._issue_load(self.addr)
 
 
-class PollBatch:
+class PollBatch(_BatchBase):
     """Poll rounds of Compute(quantum) then one LoadAcquire per address
     until ``ready(*values)`` holds (resumes True) or the rounds run out
-    (resumes False).
+    (resumes False)."""
 
-    The schedulers build one per idle probe and per steal-reply wait,
-    thousands per run. So construction copies the effect's fields and
-    little else: unlike :class:`_BatchBase` it prebinds no callbacks or
-    cache references, and each element looks up the few it needs. A
-    compute, or a load that hits, completes through an inline callback
-    that makes ``Processor._complete``'s interruptible-point checks and
-    falls back to it when one applies. Every other load (a miss,
-    store-to-load forwarding) is the real micro effect issued through
-    ``Processor._execute``, and so is every element of an observed
-    batch, which builds its Compute and LoadAcquire effects once and
-    reissues them every round.
-    """
-
-    __slots__ = ("proc", "ctx", "observed", "quantum", "left", "ready",
-                 "addrs", "n", "values", "k", "_effects")
+    __slots__ = ("quantum", "left", "ready", "addrs", "n", "values", "k")
 
     def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
-        self.proc = proc
-        self.ctx = ctx
+        super().__init__(proc, ctx)
         self.quantum = eff.quantum
         self.left = eff.rounds  # rounds still to start; None: no limit
         self.ready = eff.ready
-        self.addrs = addrs = eff.addrs
-        self.n = n = len(addrs)
-        self.values = [None] * n
+        self.addrs = eff.addrs
+        self.n = len(eff.addrs)
+        self.values = [None] * self.n
         #: element of the round in flight: 0 the compute, j + 1 the load
         #: of addrs[j]; -1 before the first round
         self.k = -1
-        self.observed = observed = bool(
-            proc.before_execute or proc.after_execute
-            or proc.coherence.before_access
-        )
-        if observed:
-            self._effects = (
-                fx.Compute(eff.quantum), *map(fx.LoadAcquire, addrs)
-            )
 
     def step(self, value: Any) -> None:
         k = self.k
@@ -595,7 +512,7 @@ class PollBatch:
                 self.values[k - 1] = value
             if k < self.n:
                 self.k = k + 1
-                self._load(k)
+                self._issue_load(self.addrs[k])
                 return
             # the round's last element completed: where the micro
             # program's generator resumes and tests ready
@@ -609,70 +526,31 @@ class PollBatch:
                 return
             self.left = left - 1
         self.k = 0
-        proc = self.proc
-        pstats = proc.stats
-        pstats.effects += 1
-        if self.observed:
-            proc._execute(self.ctx, self._effects[0])
-            return
-        c = self.quantum * proc.p.compute_unit
-        pstats.busy_cycles += c
-        proc.sim.call_after(c, self._computed)
+        self._issue_compute(self.quantum)
 
-    def _load(self, j: int) -> None:
+
+class MicroBatch:
+    """Runs ``eff.micro()``, sending each element through
+    ``Processor._execute`` exactly as a program yielding it would."""
+
+    __slots__ = ("proc", "ctx", "gen")
+
+    def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
+        self.proc = proc
+        self.ctx = ctx
+        self.gen = eff.micro()
+
+    def step(self, value: Any) -> None:
+        try:
+            eff = self.gen.send(value)
+        except StopIteration as stop:
+            ctx = self.ctx
+            ctx.batch = None
+            self.proc._step(ctx, stop.value)
+            return
         proc = self.proc
         proc.stats.effects += 1
-        if self.observed:
-            proc._execute(self.ctx, self._effects[j + 1])
-            return
-        addr = self.addrs[j]
-        if not proc._store_buffer:
-            # Cache.lookup's read hit, inline (as in _BatchBase._issue_load)
-            coh = proc.coherence
-            cache = coh.caches[proc.node]
-            lines = cache._lines
-            line = addr & coh._line_mask
-            st = lines.get(line)
-            if st is not None and st is not _INVALID:
-                lines.move_to_end(line)
-                cache.stats.hits += 1
-                proc.sim.call_after(coh.p.load_hit, self._loaded)
-                return
-        proc._execute(self.ctx, fx.LoadAcquire(addr))
-
-    def _computed(self) -> None:
-        ctx = self.ctx
-        ctx.miss_pending = False
-        proc = self.proc
-        if not ctx.is_handler and (
-            proc.in_handler
-            or (proc.cmmu.in_queue and not proc.imask)
-            or ctx in proc._stalled
-        ):
-            proc._complete(ctx)
-            return
-        self.step(None)
-
-    def _loaded(self) -> None:
-        proc = self.proc
-        store = proc.store
-        store.reads += 1
-        value = store._mem.get(self.addrs[self.k - 1], 0)
-        ctx = self.ctx
-        ctx.miss_pending = False
-        if not ctx.is_handler and (
-            proc.in_handler
-            or (proc.cmmu.in_queue and not proc.imask)
-            or ctx in proc._stalled
-        ):
-            proc._complete(ctx, value)
-            return
-        self.step(value)
-
-    def _resume(self, result: bool) -> None:
-        ctx = self.ctx
-        ctx.batch = None
-        self.proc._step(ctx, result)
+        proc._execute(self.ctx, eff)
 
 
 #: macro effect class -> batch runner
@@ -680,7 +558,7 @@ BATCH_CLASSES = {
     fx.ComputeLoad: ComputeLoadBatch,
     fx.LoadComputeStore: LoadComputeStoreBatch,
     fx.StoreRun: StoreRunBatch,
-    fx.Repeat: RepeatBatch,
+    fx.Repeat: MicroBatch,
     fx.SpinUntilGE: SpinBatch,
     fx.Poll: PollBatch,
 }

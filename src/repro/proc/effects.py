@@ -24,17 +24,20 @@ spend most of their host time resuming the generator once per
 element. The macro-effects (:class:`ComputeLoad`,
 :class:`LoadComputeStore`, :class:`StoreRun`, :class:`Repeat`,
 :class:`SpinUntilGE`, :class:`Poll`) describe the whole loop in one
-yielded object; the processor's batch runner
-(:mod:`repro.proc.batch`) then drives the per-element micro-operations
-itself — same events, same cycle accounting, same interrupt points,
-one generator resume for the whole loop. All effect classes are
-slotted: effect objects are the highest-churn allocations in a run.
+yielded object. Each one's ``micro()`` generator *is* its meaning: the
+per-element program it stands for. The processor's batch runner
+(:mod:`repro.proc.batch`) drives those micro-operations itself — same
+events, same cycle accounting, same interrupt points, one generator
+resume for the whole loop — and an observed processor runs
+``micro()`` element by element. :func:`expand` turns a whole program
+into its micro form. All effect classes are slotted: effect objects
+are the highest-churn allocations in a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from repro.cmmu.message import BlockRef
 
@@ -157,28 +160,17 @@ class Yield:
 
 
 # ----------------------------------------------------------------------
-# Macro-effects: one yield describes a whole hot loop. The processor's
-# batch runner (repro.proc.batch) issues the per-element operations
-# through the same coherence/completion machinery a hand-written loop
-# would use, so simulated timing, interrupt points, stats, and checker
-# observations are identical element for element — only the per-element
+# Macro-effects: one yield describes a whole hot loop, and micro() is
+# that loop. The processor's batch runner (repro.proc.batch) issues the
+# per-element operations through the same coherence/completion
+# machinery micro() would use, so simulated timing, interrupt points
+# and stats are identical element for element — only the per-element
 # generator resume, effect allocation, and dispatch lookup disappear.
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class ComputeLoad:
     """Batched ``[Prefetch?] Load [Compute?]`` loop over a strided
     vector; resumes with the list of loaded values.
-
-    Equivalent micro program::
-
-        per_line = prefetch_line // stride
-        for i in range(count):
-            if per_line and i % per_line == 0 and (i + per_line) < count:
-                yield Prefetch(base + (i + per_line) * stride)
-            v = yield Load(base + i * stride)
-            values.append(v)
-            if compute:
-                yield Compute(compute)
 
     ``prefetch_line = 0`` disables prefetching; ``compute = 0`` skips
     the per-element compute charge.
@@ -193,27 +185,25 @@ class ComputeLoad:
     def __post_init__(self) -> None:
         _check_batch(self.count, self.stride, self.compute, self.prefetch_line)
 
+    def micro(self) -> Generator:
+        base, count, stride, compute = self.base, self.count, self.stride, self.compute
+        per_line = self.prefetch_line // stride
+        values = []
+        for i in range(count):
+            if per_line and i % per_line == 0 and i + per_line < count:
+                yield Prefetch(base + (i + per_line) * stride)
+            values.append((yield Load(base + i * stride)))
+            if compute:
+                yield Compute(compute)
+        return values
+
 
 @dataclass(slots=True)
 class LoadComputeStore:
     """Batched strided copy loop: ``Load src, Store dst, Compute``
     per element, optionally prefetching one ``prefetch_line`` ahead on
     both streams at line boundaries (the §4.4 copy loops). Resumes
-    with None.
-
-    Equivalent micro program::
-
-        nbytes = count * stride
-        for off in range(0, nbytes, stride):
-            if prefetch_line and off % prefetch_line == 0 \\
-                    and off + prefetch_line < nbytes:
-                yield Prefetch(src + off + prefetch_line)
-                yield Prefetch(dst + off + prefetch_line)
-            v = yield Load(src + off)
-            yield Store(dst + off, v)
-            if compute:
-                yield Compute(compute)
-    """
+    with None."""
 
     src: int
     dst: int
@@ -224,6 +214,18 @@ class LoadComputeStore:
 
     def __post_init__(self) -> None:
         _check_batch(self.count, self.stride, self.compute, self.prefetch_line)
+
+    def micro(self) -> Generator:
+        src, dst, pl, compute = self.src, self.dst, self.prefetch_line, self.compute
+        nbytes = self.count * self.stride
+        for off in range(0, nbytes, self.stride):
+            if pl and off % pl == 0 and off + pl < nbytes:
+                yield Prefetch(src + off + pl)
+                yield Prefetch(dst + off + pl)
+            v = yield Load(src + off)
+            yield Store(dst + off, v)
+            if compute:
+                yield Compute(compute)
 
 
 @dataclass(slots=True)
@@ -239,18 +241,24 @@ class StoreRun:
         if self.stride <= 0:
             raise ValueError(f"stride must be positive, got {self.stride}")
 
+    def micro(self) -> Generator:
+        for i, v in enumerate(self.values):
+            yield Store(self.base + i * self.stride, v)
 
-#: effect classes legal inside a :class:`Repeat` body
-_REPEATABLE = (Compute, Load, LoadAcquire, Store, StoreRelease, Prefetch)
+
+#: effect classes legal inside a :class:`Repeat` body (exactly these:
+#: the processor dispatches on the exact class)
+_REPEATABLE = frozenset((Compute, Load, LoadAcquire, Store, StoreRelease, Prefetch))
 
 
 @dataclass(slots=True)
 class Repeat:
     """Execute the fixed effect sequence ``body`` ``count`` times
     (element results are discarded; resumes with None). The general
-    aggregate for hot loops whose body is not one of the specialized
-    shapes above. ``body`` may contain Compute/Load/LoadAcquire/
-    Store/StoreRelease/Prefetch effects only."""
+    aggregate for loops whose body is not one of the specialized shapes
+    above; it has no batch runner, so processors always run its micro
+    program. ``body`` may contain Compute/Load/LoadAcquire/Store/
+    StoreRelease/Prefetch effects only."""
 
     count: int
     body: tuple
@@ -260,28 +268,23 @@ class Repeat:
             raise ValueError(f"negative repeat count {self.count}")
         self.body = tuple(self.body)
         for op in self.body:
-            if not isinstance(op, _REPEATABLE):
+            if type(op) not in _REPEATABLE:
                 raise ValueError(
                     f"Repeat body may not contain {type(op).__name__} "
                     "(only Compute/Load/LoadAcquire/Store/StoreRelease/Prefetch)"
                 )
+
+    def micro(self) -> Generator:
+        for _ in range(self.count):
+            for op in self.body:
+                yield op
 
 
 @dataclass(slots=True)
 class SpinUntilGE:
     """Batched acquire-spin: LoadAcquire ``addr`` until the value is
     ``>= threshold``, charging ``backoff`` compute cycles between
-    polls; resumes with the final observed value.
-
-    Equivalent micro program::
-
-        while True:
-            v = yield LoadAcquire(addr)
-            if v >= threshold:
-                return v
-            if backoff:
-                yield Compute(backoff)
-    """
+    polls; resumes with the final observed value."""
 
     addr: int
     threshold: int
@@ -291,6 +294,14 @@ class SpinUntilGE:
         if self.backoff < 0:
             raise ValueError(f"negative spin backoff {self.backoff}")
 
+    def micro(self) -> Generator:
+        while True:
+            v = yield LoadAcquire(self.addr)
+            if v >= self.threshold:
+                return v
+            if self.backoff:
+                yield Compute(self.backoff)
+
 
 @dataclass(slots=True)
 class Poll:
@@ -299,22 +310,9 @@ class Poll:
     ``addrs``; resumes with True as soon as ``ready(*values)`` holds for
     a round's loaded values, and with False when the rounds run out.
 
-    Equivalent micro program::
-
-        n = 0
-        while rounds is None or n < rounds:
-            yield Compute(quantum)
-            values = []
-            for a in addrs:
-                values.append((yield LoadAcquire(a)))
-            if ready(*values):
-                return True
-            n += 1
-        return False
-
-    ``ready`` runs where that generator would have resumed, so it sees
-    whatever a message handler that borrowed the pipeline meanwhile
-    changed (a steal reply, an invoked task).
+    ``ready`` runs where ``micro()`` resumes after a round's last
+    element, so it sees whatever a message handler that borrowed the
+    pipeline meanwhile changed (a steal reply, an invoked task).
     """
 
     quantum: int
@@ -327,6 +325,21 @@ class Poll:
             raise ValueError(f"negative poll quantum {self.quantum}")
         if self.rounds is not None and self.rounds < 0:
             raise ValueError(f"negative poll rounds {self.rounds}")
+
+    def micro(self) -> Generator:
+        # one Compute and one LoadAcquire per address, reissued every round
+        compute = Compute(self.quantum)
+        loads = [LoadAcquire(a) for a in self.addrs]
+        n = 0
+        while self.rounds is None or n < self.rounds:
+            yield compute
+            values = []
+            for load in loads:
+                values.append((yield load))
+            if self.ready(*values):
+                return True
+            n += 1
+        return False
 
 
 def _check_batch(count: int, stride: int, compute: int, prefetch_line: int) -> None:
@@ -345,6 +358,22 @@ def _check_batch(count: int, stride: int, compute: int, prefetch_line: int) -> N
 
 
 MACRO_EFFECTS = (ComputeLoad, LoadComputeStore, StoreRun, Repeat, SpinUntilGE, Poll)
+
+
+def expand(gen: Generator) -> Generator:
+    """Run program ``gen`` with every macro-effect it yields replaced by
+    that effect's micro program: ``run_thread(expand(prog))`` simulates
+    exactly what ``run_thread(prog)`` does, one element at a time."""
+    value = None
+    while True:
+        try:
+            eff = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if eff.__class__ in MACRO_EFFECTS:
+            value = yield from eff.micro()
+        else:
+            value = yield eff
 
 Effect = (
     Compute | Load | Store | LoadAcquire | StoreRelease | Prefetch | FetchOp

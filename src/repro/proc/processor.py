@@ -26,7 +26,7 @@ from repro.params import ProcessorParams
 from repro.memory.coherence import AccessKind, CoherenceEngine
 from repro.memory.store import BackingStore
 from repro.proc import effects as fx
-from repro.proc.batch import BATCH_CLASSES as _BATCHES
+from repro.proc.batch import BATCH_CLASSES as _BATCHES, MicroBatch
 from repro.sim.engine import SimulationError, Simulator
 
 _ctx_ids = itertools.count()
@@ -326,14 +326,17 @@ class Processor:
                 return
             batch_cls = _BATCHES.get(eff.__class__)
             if batch_cls is not None:
-                # macro-effect: start its batch runner. The envelope
-                # object deliberately bypasses _execute (observers see
-                # the per-element micro stream, not the envelope) and is
-                # not counted in stats.effects — each element counts
-                # itself, so effect rates stay comparable with
-                # unbatched runs.
-                ctx.batch = batch_cls(self, ctx, eff)
-                ctx.batch.step(None)
+                # macro-effect: start its batch runner, or run its micro
+                # program when an observer wants the per-element effect
+                # (or access) stream. The envelope object deliberately
+                # bypasses _execute and is not counted in stats.effects
+                # — each element counts itself, so effect rates stay
+                # comparable with unbatched runs.
+                if (self.before_execute or self.after_execute
+                        or self.coherence.before_access):
+                    batch_cls = MicroBatch
+                ctx.batch = batch = batch_cls(self, ctx, eff)
+                batch.step(None)
                 return
             self.stats.effects += 1
             self._execute(ctx, eff)

@@ -24,7 +24,6 @@ from repro.check import hooks
 from repro.machine.machine import Machine
 from repro.proc.effects import (
     Compute,
-    LoadAcquire,
     Send,
     SpinUntilGE,
     StoreRelease,
@@ -51,16 +50,12 @@ class SMTreeBarrier:
         machine: Machine,
         arity: int = 2,
         spin_backoff: int = 6,
-        macro: bool = True,
     ) -> None:
         if arity < 2:
             raise ValueError(f"arity must be >= 2, got {arity}")
         self.machine = machine
         self.arity = arity
         self.spin_backoff = spin_backoff
-        #: batch each flag spin into one SpinUntilGE macro-effect
-        #: (cycle-identical; False keeps the per-probe loop)
-        self.macro = macro
         n = machine.n_nodes
         self.children: list[list[int]] = [
             [c for c in range(arity * p + 1, arity * p + arity + 1) if c < n]
@@ -88,28 +83,19 @@ class SMTreeBarrier:
             d += 1
         return d
 
-    def _spin_until(self, addr: int, value: int) -> Generator:
-        if self.macro:
-            yield SpinUntilGE(addr, value, backoff=self.spin_backoff)
-            return
-        while True:
-            v = yield LoadAcquire(addr)
-            if v >= value:
-                return
-            yield Compute(self.spin_backoff)
-
     def enter(self, node: int) -> Generator:
         """``yield from barrier.enter(node)`` — returns after release."""
         self._episode[node] += 1
         episode = self._episode[node]
+        backoff = self.spin_backoff
         # wait for all children to arrive (their flags are homed here,
         # but each child's write steals the line, so the re-read pays
         # a full remote transaction — the §4.2 point)
         for c in self.children[node]:
-            yield from self._spin_until(self.arrive_addr[c], episode)
+            yield SpinUntilGE(self.arrive_addr[c], episode, backoff=backoff)
         if self.parent[node] is not None:
             yield StoreRelease(self.arrive_addr[node], episode)
-            yield from self._spin_until(self.release_addr[node], episode)
+            yield SpinUntilGE(self.release_addr[node], episode, backoff=backoff)
         # wake the children (write into lines homed at each child)
         for c in self.children[node]:
             yield StoreRelease(self.release_addr[c], episode)

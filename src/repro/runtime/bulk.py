@@ -23,15 +23,7 @@ from typing import Generator
 
 from repro.cmmu.message import BlockRef
 from repro.machine.machine import Machine
-from repro.proc.effects import (
-    Compute,
-    Load,
-    LoadComputeStore,
-    Prefetch,
-    Send,
-    Store,
-    Storeback,
-)
+from repro.proc.effects import Compute, LoadComputeStore, Send, Storeback
 from repro.runtime.reliable import ReliableLayer
 from repro.runtime.sync import Future
 from repro.sim.engine import SimulationError
@@ -46,43 +38,24 @@ _copy_ids = itertools.count()
 
 
 def copy_no_prefetch(
-    src: int, dst: int, nbytes: int, line_size: int = 16, macro: bool = True
+    src: int, dst: int, nbytes: int, line_size: int = 16
 ) -> Generator:
-    """Simple doubleword copy loop (runs on the calling processor).
-
-    ``macro=True`` (default) issues the loop as one
-    :class:`~repro.proc.effects.LoadComputeStore` batch —
-    cycle-identical to the element-at-a-time loop (``macro=False``,
-    kept for the macro-vs-micro ablation and identity tests)."""
+    """Simple doubleword copy loop (runs on the calling processor), as
+    one :class:`~repro.proc.effects.LoadComputeStore` loop."""
     if nbytes % 8:
         raise ValueError(f"copy length must be a multiple of 8, got {nbytes}")
-    if macro:
-        yield LoadComputeStore(src, dst, nbytes // 8, compute=LOOP_OVERHEAD)
-        return
-    for off in range(0, nbytes, 8):
-        v = yield Load(src + off)
-        yield Store(dst + off, v)
-        yield Compute(LOOP_OVERHEAD)
+    yield LoadComputeStore(src, dst, nbytes // 8, compute=LOOP_OVERHEAD)
 
 
 def copy_prefetch(
-    src: int, dst: int, nbytes: int, line_size: int = 16, macro: bool = True
+    src: int, dst: int, nbytes: int, line_size: int = 16
 ) -> Generator:
     """Copy loop prefetching one cache block ahead on both streams."""
     if nbytes % 8:
         raise ValueError(f"copy length must be a multiple of 8, got {nbytes}")
-    if macro:
-        yield LoadComputeStore(
-            src, dst, nbytes // 8, compute=LOOP_OVERHEAD, prefetch_line=line_size
-        )
-        return
-    for off in range(0, nbytes, 8):
-        if off % line_size == 0 and off + line_size < nbytes:
-            yield Prefetch(src + off + line_size)
-            yield Prefetch(dst + off + line_size)
-        v = yield Load(src + off)
-        yield Store(dst + off, v)
-        yield Compute(LOOP_OVERHEAD)
+    yield LoadComputeStore(
+        src, dst, nbytes // 8, compute=LOOP_OVERHEAD, prefetch_line=line_size
+    )
 
 
 class BulkTransfer:

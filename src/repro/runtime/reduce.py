@@ -27,8 +27,8 @@ from repro.machine.machine import Machine
 from repro.proc.effects import (
     Compute,
     Load,
-    LoadAcquire,
     Send,
+    SpinUntilGE,
     Store,
     StoreRelease,
     Suspend,
@@ -70,28 +70,22 @@ class SMTreeReduce:
         self.res_value = [machine.alloc(p, 8) for p in range(n)]
         self._episode = [0] * n
 
-    def _spin(self, addr: int, episode: int) -> Generator:
-        while True:
-            v = yield LoadAcquire(addr)
-            if v >= episode:
-                return
-            yield Compute(self.spin_backoff)
-
     def reduce(self, node: int, value: Any, op: ReduceOp) -> Generator:
         """``total = yield from red.reduce(node, my_value, operator.add)``"""
         self._episode[node] += 1
         episode = self._episode[node]
+        backoff = self.spin_backoff
         acc = value
         # combine the children's contributions
         for c in self.children[node]:
-            yield from self._spin(self.flag_addr[c], episode)
+            yield SpinUntilGE(self.flag_addr[c], episode, backoff=backoff)
             child_val = yield Load(self.value_addr[c])
             acc = op(acc, child_val)
             yield Compute(2)  # the combine arithmetic
         if self.parent[node] is not None:
             yield Store(self.value_addr[node], acc)
             yield StoreRelease(self.flag_addr[node], episode)  # flag after data
-            yield from self._spin(self.res_flag[node], episode)
+            yield SpinUntilGE(self.res_flag[node], episode, backoff=backoff)
             result = yield Load(self.res_value[node])
         else:
             result = acc

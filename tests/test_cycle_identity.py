@@ -61,8 +61,10 @@ def test_golden_covers_every_experiment(golden):
 # (metrics registry, cycle profiler, time-series sampler, tracer) must
 # not change reported simulated cycles — observers are pay-for-what-
 # you-use and daemon sampler ticks never perturb model event order.
+# Observed processors run every macro-effect's micro program, so this
+# also holds each experiment's macro-effects to their micro programs.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("exp_id", ["fig8", "fig9"])
+@pytest.mark.parametrize("exp_id", sorted(CONFIGS))
 def test_observed_run_cycle_identical(exp_id, golden):
     from repro.obs.session import ObsConfig, session
 

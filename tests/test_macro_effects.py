@@ -3,17 +3,22 @@
 The batched effects (``ComputeLoad``, ``LoadComputeStore``,
 ``StoreRun``, ``Repeat``, ``SpinUntilGE``, ``Poll``) exist purely to
 cut host overhead: one generator resume per *loop* instead of per
-element. The contract is cycle identity — a macro batch and its
-documented micro equivalent must produce the same simulated time, the
-same values, the same stats, the same trace stream, the same profiler
-attribution, and the same checker findings. These tests pin that
-contract, including hypothesis sweeps that force coherence misses
-(batch splits) at random elements via a concurrent writer.
+element. The contract is cycle identity — a macro batch and its micro
+program must produce the same simulated time, the same values, the
+same stats, the same trace stream, the same profiler attribution, and
+the same checker findings. The hand-written micro programs below are
+the reference: each effect's ``micro()`` must yield exactly what they
+yield, and the batch runners must simulate exactly what they simulate.
+These tests pin that contract, including hypothesis sweeps that force
+coherence misses (batch splits) at random elements via a concurrent
+writer, and which runner a processor starts (observed processors run
+``micro()`` itself).
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from repro.machine import Machine, MachineConfig
 from repro.proc import (
     Compute,
     ComputeLoad,
+    Context,
     Load,
     LoadAcquire,
     LoadComputeStore,
@@ -35,6 +41,15 @@ from repro.proc import (
     StoreRelease,
     StoreRun,
     Suspend,
+    expand,
+)
+from repro.proc.batch import (
+    ComputeLoadBatch,
+    LoadComputeStoreBatch,
+    MicroBatch,
+    PollBatch,
+    SpinBatch,
+    StoreRunBatch,
 )
 
 
@@ -43,7 +58,7 @@ def machine(n=4, **kw):
 
 
 # ----------------------------------------------------------------------
-# Micro equivalents (the documented per-element programs)
+# Micro equivalents (the reference per-element programs)
 # ----------------------------------------------------------------------
 def micro_compute_load(base, count, stride=8, compute=0, prefetch_line=0):
     values = []
@@ -99,6 +114,23 @@ def macro_copy(src, dst, count, stride=8, compute=0, prefetch_line=0):
     return gen()
 
 
+def micro_store_run(base, values, stride=8):
+    def gen():
+        for i, v in enumerate(values):
+            yield Store(base + i * stride, v)
+
+    return gen()
+
+
+def micro_repeat(count, body):
+    def gen():
+        for _ in range(count):
+            for op in body:
+                yield op
+
+    return gen()
+
+
 def micro_spin(addr, threshold, backoff=0):
     def gen():
         while True:
@@ -139,6 +171,14 @@ def macro_poll(quantum, rounds, ready, addrs=()):
     def gen():
         ok = yield Poll(quantum, rounds, ready, addrs)
         return ok
+
+    return gen()
+
+
+def one(eff):
+    """A program that yields ``eff`` and returns what it resumed with."""
+    def gen():
+        return (yield eff)
 
     return gen()
 
@@ -231,13 +271,10 @@ class TestMacroMicroIdentity:
         def build(m, variant):
             base = m.alloc(1, len(vals) * 8)
             if variant == "micro":
-                def gen():
-                    for i, v in enumerate(vals):
-                        yield Store(base + i * 8, v)
+                gen = micro_store_run(base, vals)
             else:
-                def gen():
-                    yield StoreRun(base, vals)
-            m.processor(0).run_thread(gen())
+                gen = one(StoreRun(base, vals))
+            m.processor(0).run_thread(gen)
             return base
 
         (m1, b1, _), (m2, b2, _) = run_pair(build)
@@ -253,16 +290,10 @@ class TestMacroMicroIdentity:
             b = m.alloc(0, 8)
             body = (Compute(3), Load(a), Store(b, 1), Compute(1))
             if variant == "micro":
-                def gen():
-                    for _ in range(reps):
-                        yield Compute(3)
-                        yield Load(a)
-                        yield Store(b, 1)
-                        yield Compute(1)
+                gen = micro_repeat(reps, body)
             else:
-                def gen():
-                    yield Repeat(reps, body)
-            m.processor(0).run_thread(gen())
+                gen = one(Repeat(reps, body))
+            m.processor(0).run_thread(gen)
             return None
 
         (m1, _, _), (m2, _, _) = run_pair(build)
@@ -496,6 +527,225 @@ class TestEffectAccounting:
 
 
 # ----------------------------------------------------------------------
+# micro(): each macro-effect's own micro program is the reference one
+# ----------------------------------------------------------------------
+def drive(gen, values):
+    """Run a program off-machine, answering each yielded load with the
+    next of ``values`` (then 10**6 once they run out) and every other
+    effect with None; returns (the yielded effects, the return value)."""
+    feed = iter(values)
+    yielded, value = [], None
+    while True:
+        try:
+            eff = gen.send(value)
+        except StopIteration as stop:
+            return yielded, stop.value
+        yielded.append(eff)
+        value = next(feed, 10**6) if isinstance(eff, Load) else None
+
+
+def ready_after(rounds):
+    """A Poll ``ready``: holds once a round loads a nonzero value, or
+    from its ``rounds + 1``-th call on."""
+    calls = [0]
+
+    def ready(*values):
+        calls[0] += 1
+        return calls[0] > rounds or any(values)
+
+    return ready
+
+
+_addr = st.integers(min_value=0, max_value=64).map(lambda i: i * 8)
+_stride = st.sampled_from([8, 16, 64])
+_body_op = st.one_of(
+    st.integers(min_value=0, max_value=3).map(Compute),
+    _addr.map(Load), _addr.map(LoadAcquire), _addr.map(Prefetch),
+    st.builds(Store, _addr, st.integers()),
+    st.builds(StoreRelease, _addr, st.integers()),
+)
+
+
+def _draw_pair(data, kind):
+    """(macro-effect, reference micro program) of a drawn shape."""
+    draw = data.draw
+    if kind in ("compute_load", "copy"):
+        stride = draw(_stride)
+        shape = dict(
+            stride=stride, compute=draw(st.integers(min_value=0, max_value=3)),
+            prefetch_line=draw(st.sampled_from([0, stride, 4 * stride])),
+        )
+        count = draw(st.integers(min_value=0, max_value=12))
+        if kind == "copy":
+            src, dst = draw(_addr), draw(_addr)
+            return (LoadComputeStore(src, dst, count, **shape),
+                    micro_copy(src, dst, count, **shape))
+        base = draw(_addr)
+        return (ComputeLoad(base, count, **shape),
+                micro_compute_load(base, count, **shape))
+    if kind == "store_run":
+        base, stride = draw(_addr), draw(_stride)
+        values = draw(st.lists(st.integers(), max_size=8))
+        return (StoreRun(base, values, stride),
+                micro_store_run(base, values, stride))
+    if kind == "repeat":
+        count = draw(st.integers(min_value=0, max_value=4))
+        body = tuple(draw(st.lists(_body_op, max_size=4)))
+        return Repeat(count, body), micro_repeat(count, body)
+    if kind == "spin":
+        addr, backoff = draw(_addr), draw(st.integers(min_value=0, max_value=4))
+        threshold = draw(st.integers(min_value=0, max_value=5))
+        return (SpinUntilGE(addr, threshold, backoff),
+                micro_spin(addr, threshold, backoff))
+    quantum = draw(st.integers(min_value=0, max_value=4))
+    rounds = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+    addrs = tuple(draw(st.lists(_addr, max_size=2)))
+    limit = draw(st.integers(min_value=0, max_value=5))
+    return (Poll(quantum, rounds, ready_after(limit), addrs),
+            micro_poll(quantum, rounds, ready_after(limit), addrs))
+
+
+@pytest.mark.parametrize(
+    "kind", ["compute_load", "copy", "store_run", "repeat", "spin", "poll"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_micro_matches_reference_program(kind, data):
+    eff, reference = _draw_pair(data, kind)
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=5), max_size=12))
+    got_effects, got = drive(eff.micro(), values)
+    want_effects, want = drive(reference, values)
+    # dataclass equality: same class and same fields, element by element
+    assert got_effects == want_effects
+    assert got == want
+
+
+def test_expand_matches_hand_written_micro_program():
+    def second_release(first, second):
+        return second == 2
+
+    def build(m, variant):
+        a = m.alloc(1, 16 * 8)
+        b = m.alloc(2, 16 * 8)
+        flag = m.alloc(1, 16)
+        for i in range(16):
+            m.store.write(a + i * 8, i + 1)
+
+        def program():
+            vals = yield ComputeLoad(a, 16, compute=1, prefetch_line=16)
+            yield Compute(5)
+            yield LoadComputeStore(a, b, 8, compute=1, prefetch_line=16)
+            yield StoreRun(b + 64, vals[:4])
+            yield Repeat(3, (Compute(2), Load(a), Store(b, 9)))
+            seen = yield SpinUntilGE(flag, 1, backoff=4)
+            ok = yield Poll(20, None, second_release, (flag, flag + 8))
+            last = yield Load(b + 64)
+            return vals, seen, ok, last
+
+        def micro_program():
+            vals = yield from micro_compute_load(a, 16, compute=1, prefetch_line=16)
+            yield Compute(5)
+            yield from micro_copy(a, b, 8, compute=1, prefetch_line=16)
+            yield from micro_store_run(b + 64, vals[:4])
+            yield from micro_repeat(3, (Compute(2), Load(a), Store(b, 9)))
+            seen = yield from micro_spin(flag, 1, backoff=4)
+            ok = yield from micro_poll(20, None, second_release, (flag, flag + 8))
+            last = yield Load(b + 64)
+            return vals, seen, ok, last
+
+        def releaser():
+            yield Compute(300)
+            yield StoreRelease(flag, 1)
+            yield Compute(200)
+            yield StoreRelease(flag + 8, 2)
+
+        out = []
+        gen = {"macro": program, "expanded": lambda: expand(program()),
+               "micro": micro_program}[variant]()
+        m.processor(0).run_thread(gen, on_finish=out.append)
+        m.processor(3).run_thread(releaser())
+        m.run()
+        c = m.coherence.caches[0].stats
+        return (m.sim.now, m.sim.events_processed, out,
+                m.processor(0).stats.effects, c.hits, c.misses, c.upgrades)
+
+    runs = {v: build(machine(), v) for v in ("micro", "expanded", "macro")}
+    assert runs["expanded"] == runs["micro"] == runs["macro"]
+    _, _, [(vals, seen, ok, last)], *_ = runs["micro"]
+    assert (vals, seen, ok, last) == (list(range(1, 17)), 1, True, 1)
+
+
+# ----------------------------------------------------------------------
+# Which runner a macro-effect starts: only probe subscriptions decide
+# ----------------------------------------------------------------------
+#: macro-effect on freshly allocated words -> runner of an unobserved
+#: processor
+RUNNERS = {
+    "compute_load": (lambda a: ComputeLoad(a, 4), ComputeLoadBatch),
+    "copy": (lambda a: LoadComputeStore(a, a + 64, 4), LoadComputeStoreBatch),
+    "store_run": (lambda a: StoreRun(a, [1, 2]), StoreRunBatch),
+    "repeat": (lambda a: Repeat(2, (Compute(1), Load(a))), MicroBatch),
+    "spin": (lambda a: SpinUntilGE(a, 1, backoff=2), SpinBatch),
+    "poll": (lambda a: Poll(1, 3, operator.ne, (a, a + 8)), PollBatch),
+}
+
+
+def started_runner(m, kind):
+    """The runner node 0's processor starts for a program yielding the
+    ``kind`` macro-effect."""
+    eff = RUNNERS[kind][0](m.alloc(1, 128))
+    ctx = Context(gen=(e for e in [eff]), label="prog")
+    m.processor(0)._step(ctx, None)
+    return type(ctx.batch)
+
+
+def _observe_effect_tracer(m):
+    from repro.trace.tracer import Tracer
+
+    return Tracer(m, kinds=("effect",))
+
+
+def _observe_txn_tracer(m):
+    from repro.trace.tracer import Tracer
+
+    return Tracer(m, kinds=("txn",))  # subscribes before_access only
+
+
+def _observe_profiler(m):
+    from repro.obs.profiler import CycleProfiler
+
+    return CycleProfiler(m)
+
+
+def _observe_race_detector(m):
+    from repro.check import CheckerSet
+
+    return CheckerSet(m, checks=("race",))
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNERS))
+@pytest.mark.parametrize("observe", [
+    _observe_effect_tracer, _observe_txn_tracer, _observe_profiler,
+    _observe_race_detector,
+])
+def test_observed_processor_runs_micro_program(kind, observe):
+    m = machine()
+    observe(m)
+    assert started_runner(m, kind) is MicroBatch
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNERS))
+@pytest.mark.parametrize("step_probe", [False, True])
+def test_unobserved_processor_runs_batch_runner(kind, step_probe):
+    from repro.sim.probe import Subscriptions
+
+    m = machine()
+    if step_probe:  # a before_step subscriber wants no effect stream
+        Subscriptions().add(m.processor(0), "before_step", lambda ctx: None)
+    assert started_runner(m, kind) is RUNNERS[kind][1]
+
+
+# ----------------------------------------------------------------------
 # Hypothesis: random batch shapes with a concurrent writer forcing
 # miss splits at arbitrary elements — macro == micro, always.
 # ----------------------------------------------------------------------
@@ -654,6 +904,16 @@ class TestValidation:
     def test_repeat_rejects_non_repeatable_body(self):
         with pytest.raises(ValueError, match="Repeat body may not contain"):
             Repeat(3, (Compute(1), Suspend(register=0)))
+
+    def test_repeat_rejects_subclassed_body_effect(self):
+        # the processor dispatches on the exact class, so a subclass of
+        # an allowed effect is not allowed either
+        @dataclass(slots=True)
+        class TracedLoad(Load):
+            pass
+
+        with pytest.raises(ValueError, match="may not contain TracedLoad"):
+            Repeat(1, (TracedLoad(64),))
 
     def test_repeat_rejects_negative_count(self):
         with pytest.raises(ValueError, match="negative repeat count"):

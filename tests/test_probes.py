@@ -87,12 +87,11 @@ class TestDetach:
                 (obs.finalize if isinstance(obs, CheckerSet) else obs.detach)()
             assert [p for p in probes(m) if p[2]] == [], order
             assert m.network.faults is None
-            # batches are back on the inline path
-            ctx = Context(gen=iter(()))
-            assert not ComputeLoadBatch(
-                m.processor(0), ctx, ComputeLoad(0, 1)
-            ).observed
             assert [first, workload(m)] == expected, order
+            # macro-effects are back on their batch runners
+            ctx = Context(gen=(eff for eff in [ComputeLoad(0, 1)]))
+            m.processor(0)._step(ctx, None)
+            assert type(ctx.batch) is ComputeLoadBatch, order
 
     def test_subscribers_fire_in_attach_order(self):
         m = Machine(MachineConfig(n_nodes=4))
