@@ -69,7 +69,7 @@ from repro.perf.sweep import default_jobs  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 #: same trimmed parameterizations the CLI's --quick uses
-from repro.cli import QUICK_ARGS  # noqa: E402
+from repro.experiments.spec import QUICK_ARGS  # noqa: E402
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,10 @@ module:
 * ``observe(key)`` — "join everything signalled on ``key`` into my
   clock" (a future's waiter, the barrier's release decision).
 
-Keys are tuples such as ``("future", fid)`` or
-``("bar-rel", id(barrier), node, episode)``; id-based components are
-unique process-wide, so several checked machines can coexist.
+Keys are tuples such as ``("future", fid)``, ``("task", tid)`` or
+``("bar-rel", id(barrier), node, episode)``. They need only be unique
+within one machine (task ids count per runtime), because a sink acts
+only while its own machine is executing a context.
 
 When no checker is registered the hooks are dead cheap: callers guard
 with ``if hooks.SINKS:`` (one attribute read and a falsy test), so an
@@ -24,13 +25,7 @@ an active context, so foreign machines' sinks no-op).
 
 from __future__ import annotations
 
-from typing import Any, Protocol
-
-
-class HookSink(Protocol):  # pragma: no cover - typing aid
-    def signal(self, key: tuple) -> None: ...
-    def observe(self, key: tuple) -> None: ...
-
+from typing import Any
 
 #: registered sinks (one per checked machine); empty = checking off
 SINKS: list[Any] = []

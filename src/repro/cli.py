@@ -32,22 +32,6 @@ import time
 from repro.analysis.tables import ExperimentResult, ascii_plot
 from repro.experiments import ALL_EXPERIMENTS
 
-#: trimmed parameterizations for --quick (CI-sized runs)
-QUICK_ARGS = {
-    "barrier": dict(n_nodes=16),
-    "rti": dict(n_nodes=16, trials=3),
-    "fig7": dict(block_sizes=(64, 256, 1024)),
-    "fig8": dict(block_sizes=(64, 256, 1024)),
-    "fig9": dict(delays=(0, 1000), depth=9, n_nodes=16),
-    "fig10": dict(tols=(3e-3, 1e-3), n_nodes=16),
-    "fig11": dict(grid_sizes=(32, 64), n_nodes=16, iters=3),
-    "faults": dict(loss_rates=(0.0, 0.05), nbytes=512, n_nodes=16, episodes=2),
-}
-
-#: experiments that accept an ``n_nodes`` keyword
-NODES_KW = {"barrier": "n_nodes", "rti": "n_nodes", "fig9": "n_nodes", "fig10": "n_nodes", "fig11": "n_nodes", "faults": "n_nodes"}
-
-
 def _experiment_aliases() -> dict[str, str]:
     """Experiment ids plus their module basenames (``fig8_accum`` →
     ``fig8``), so ``python -m repro.cli fig8_accum ...`` implies
@@ -56,15 +40,6 @@ def _experiment_aliases() -> dict[str, str]:
     for exp_id, fn in ALL_EXPERIMENTS.items():
         aliases[(fn.__module__ or "").rsplit(".", 1)[-1]] = exp_id
     return aliases
-
-
-def _jsonable(value):
-    """kwargs → JSON-safe (tuples become lists)."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def plot_result(res: ExperimentResult) -> str | None:
@@ -109,6 +84,36 @@ def plot_result(res: ExperimentResult) -> str | None:
     return None
 
 
+def experiment_spec(
+    exp_id: str,
+    quick: bool = False,
+    nodes: int | None = None,
+    partitions: int | None = None,
+    params: dict | None = None,
+    trace: bool = False,
+    sample_interval: int = 0,
+    check: str | None = None,
+) -> dict:
+    """The spec (:mod:`repro.experiments.spec`) that ``run``'s and
+    ``submit``'s flags describe; unset flags stay out of it."""
+    spec: dict = {"experiment": exp_id}
+    if quick:
+        spec["quick"] = True
+    if nodes is not None:
+        spec["nodes"] = nodes
+    if partitions is not None:
+        spec["partitions"] = partitions
+    if params is not None:
+        spec["params"] = params
+    if trace:
+        spec["trace"] = True
+    if sample_interval:
+        spec["sample_interval"] = sample_interval
+    if check:
+        spec["check"] = [k for k in check.split(",") if k]
+    return spec
+
+
 def run_experiment(
     exp_id: str,
     quick: bool = False,
@@ -125,77 +130,46 @@ def run_experiment(
     trace_kinds: str = "packet,handler,context",
     check: str | None = None,
 ) -> str:
+    import dataclasses
+
+    from repro.experiments import spec as specs
+
+    # the fault flags are the faults experiment's loss_rates/seed params
+    params: dict = {}
+    if fault_rate is not None:
+        params["loss_rates"] = (0.0, fault_rate)
+    if fault_seed is not None:
+        params["seed"] = fault_seed
+    try:
+        exp_id, kwargs, obs_cfg = specs.resolve(experiment_spec(
+            exp_id, quick, nodes, partitions, params or None,
+            bool(trace_out), sample_interval, check,
+        ))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     fn = ALL_EXPERIMENTS[exp_id]
-    kwargs = dict(QUICK_ARGS[exp_id]) if quick else {}
+    run_kwargs = dict(kwargs)
     if jobs is not None:
         if jobs < 0:
             raise SystemExit(f"--jobs must be >= 0, got {jobs}")
         # 0 means "pick for me" (cpu count / REPRO_JOBS)
-        kwargs["jobs"] = jobs if jobs > 0 else None
-    if nodes is not None:
-        kw = NODES_KW.get(exp_id)
-        if kw is None:
-            raise SystemExit(f"experiment {exp_id!r} does not take a node count")
-        kwargs[kw] = nodes
-    if partitions is not None:
-        import inspect
-
-        from repro.perf.partition import validate_partitions
-
-        if "partitions" not in inspect.signature(fn).parameters:
-            raise SystemExit(
-                f"experiment {exp_id!r} does not support --partitions"
-            )
-        if check:
-            raise SystemExit("--partitions cannot be combined with --check "
-                             "(dynamic checkers need a global view)")
-        nkw = NODES_KW.get(exp_id)
-        n_for_plan = int(kwargs.get(nkw, 64)) if nkw else 64
-        try:
-            validate_partitions(partitions, n_for_plan)
-        except ValueError as exc:
-            raise SystemExit(f"--partitions: {exc}")
-        kwargs["partitions"] = partitions
-    if fault_rate is not None or fault_seed is not None:
-        if exp_id != "faults":
-            raise SystemExit(f"experiment {exp_id!r} does not take fault parameters")
-        if fault_rate is not None:
-            if not 0.0 <= fault_rate <= 1.0:
-                raise SystemExit(f"--fault-rate must be in [0, 1], got {fault_rate}")
-            kwargs["loss_rates"] = (0.0, fault_rate)
-        if fault_seed is not None:
-            kwargs["seed"] = fault_seed
-    checks: tuple[str, ...] = ()
-    if check:
-        from repro.check import validate_checks
-
-        try:
-            checks = validate_checks(k for k in check.split(",") if k)
-        except ValueError as exc:
-            raise SystemExit(f"--check: {exc}")
-    obs_cfg = None
-    if metrics_out or trace_out or sample_interval or checks:
-        from repro.obs.session import ObsConfig
-
-        if sample_interval < 0:
-            raise SystemExit(f"--sample-interval must be >= 0, got {sample_interval}")
-        obs_cfg = ObsConfig(
-            sample_interval=sample_interval,
-            trace=bool(trace_out),
-            trace_kinds=tuple(k for k in trace_kinds.split(",") if k),
-            check=checks,
-        )
+        run_kwargs["jobs"] = jobs if jobs > 0 else None
+    observed = bool(metrics_out or trace_out or obs_cfg.sample_interval
+                    or obs_cfg.check)
+    obs_cfg = dataclasses.replace(
+        obs_cfg, trace_kinds=tuple(k for k in trace_kinds.split(",") if k)
+    )
 
     def invoke():
         if profile:
             from repro.perf import run_profiled
 
-            return run_profiled(lambda: fn(**kwargs), label=exp_id)
-        return fn(**kwargs), None
+            return run_profiled(lambda: fn(**run_kwargs), label=exp_id)
+        return fn(**run_kwargs), None
 
     t_wall = time.time()
     obs_data = None
-    if obs_cfg is not None:
+    if observed:
         from repro.obs.session import session as obs_session
 
         with obs_session(obs_cfg) as s:
@@ -213,10 +187,13 @@ def run_experiment(
         if fig is not None:
             out += "\n\n" + fig
     if obs_data is not None:
-        out += "\n" + _write_obs_outputs(
-            exp_id, kwargs, wall, obs_data, metrics_out, trace_out
+        artifacts = specs.build_artifacts(
+            exp_id, kwargs, result, obs_data, wall, trace=obs_cfg.trace
         )
-        if checks:
+        out += "\n" + _write_obs_outputs(
+            obs_data, artifacts, metrics_out, trace_out
+        )
+        if obs_cfg.check:
             from repro.check import CheckReport
 
             report = CheckReport.from_dict(obs_data.get("check") or {})
@@ -225,16 +202,13 @@ def run_experiment(
 
 
 def _write_obs_outputs(
-    exp_id: str,
-    kwargs: dict,
-    wall: float,
     data: dict,
+    artifacts: dict[str, bytes],
     metrics_out: str | None,
     trace_out: str | None,
 ) -> str:
-    """Render the observation outputs; returns status lines."""
+    """Write the asked-for artifacts; returns status lines."""
     from repro.analysis.tables import format_table
-    from repro.obs.export import export_perfetto, write_run_manifest
     from repro.obs.profiler import BUCKETS
 
     lines = []
@@ -253,7 +227,9 @@ def _write_obs_outputs(
             f"{attr['machines']} machine(s)",
             ["bucket", "cycles", "share"], rows))
     if trace_out:
-        n = export_perfetto(data["records"], trace_out)
+        with open(trace_out, "wb") as fh:
+            fh.write(artifacts["trace.json"])
+        n = sum(len(r["trace"]) for r in data["records"] if "trace" in r)
         dropped = sum(r.get("trace_dropped", 0) for r in data["records"])
         note = f" ({dropped} events dropped at capture)" if dropped else ""
         lines.append(
@@ -261,26 +237,8 @@ def _write_obs_outputs(
             "(load at https://ui.perfetto.dev)"
         )
     if metrics_out:
-        timings = {
-            "wall_seconds": round(wall, 3),
-            "machines": len(data["records"]),
-            "simulated_cycles": sum(r["cycles"] for r in data["records"]),
-        }
-        extra = {}
-        if data.get("check") is not None:
-            extra["check"] = data["check"]
-        if data.get("cache") is not None:
-            extra["cache"] = data["cache"]
-        write_run_manifest(
-            metrics_out,
-            experiment=exp_id,
-            params=_jsonable(kwargs),
-            timings=timings,
-            metrics=data["metrics"],
-            cycle_attribution=data["cycle_attribution"],
-            samples=[r["samples"] for r in data["records"] if "samples" in r],
-            **extra,
-        )
+        with open(metrics_out, "wb") as fh:
+            fh.write(artifacts["run.json"])
         n_rows = len(data["metrics"]["rows"]) if data["metrics"] else 0
         lines.append(f"wrote run manifest ({n_rows} metric rows) -> {metrics_out}")
     if data.get("cache"):
@@ -336,27 +294,7 @@ def print_version() -> int:
 # serve / submit / status / fetch (the repro.serve client surface)
 # ----------------------------------------------------------------------
 def _build_spec(args: argparse.Namespace) -> dict:
-    if args.experiment == "fuzz":
-        # campaign job: {"fuzz": {"seeds": ..., "budget": ...}}
-        body = {}
-        if args.params:
-            import json
-
-            try:
-                body = json.loads(args.params)
-            except ValueError as exc:
-                raise SystemExit(f"--params is not valid JSON: {exc}")
-        for flag in ("quick", "nodes", "trace", "sample_interval", "check",
-                     "partitions"):
-            if getattr(args, flag, None):
-                raise SystemExit(f"--{flag.replace('_', '-')} does not apply "
-                                 "to fuzz campaigns; use --params")
-        return {"fuzz": body}
-    spec: dict = {"experiment": args.experiment}
-    if args.quick:
-        spec["quick"] = True
-    if args.nodes is not None:
-        spec["nodes"] = args.nodes
+    params = None
     if args.params:
         import json
 
@@ -364,16 +302,18 @@ def _build_spec(args: argparse.Namespace) -> dict:
             params = json.loads(args.params)
         except ValueError as exc:
             raise SystemExit(f"--params is not valid JSON: {exc}")
-        spec["params"] = params
-    if args.trace:
-        spec["trace"] = True
-    if args.sample_interval:
-        spec["sample_interval"] = args.sample_interval
-    if args.check:
-        spec["check"] = [k for k in args.check.split(",") if k]
-    if getattr(args, "partitions", None) is not None:
-        spec["partitions"] = args.partitions
-    return spec
+    if args.experiment == "fuzz":
+        # campaign job: {"fuzz": {"seeds": ..., "budget": ...}}
+        for flag in ("quick", "nodes", "trace", "sample_interval", "check",
+                     "partitions"):
+            if getattr(args, flag, None):
+                raise SystemExit(f"--{flag.replace('_', '-')} does not apply "
+                                 "to fuzz campaigns; use --params")
+        return {"fuzz": params if args.params else {}}
+    return experiment_spec(
+        args.experiment, args.quick, args.nodes, args.partitions, params,
+        args.trace, args.sample_interval, args.check,
+    )
 
 
 def _job_line(job: dict) -> str:

@@ -91,11 +91,3 @@ def run_thread_timed(machine: Machine, gen: Generator) -> tuple[Any, int]:
     if "cycles" not in box:
         raise SimulationError("measured thread never finished")
     return box["result"], box["cycles"] - t0
-
-
-def geometric_sizes(lo: int, hi: int, factor: int = 2) -> list[int]:
-    out, v = [], lo
-    while v <= hi:
-        out.append(v)
-        v *= factor
-    return out

@@ -21,7 +21,6 @@ configuration choice.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Generator
 
@@ -30,8 +29,6 @@ from repro.proc.effects import Compute, Load, Send, Store, Suspend
 from repro.sim.engine import SimulationError
 
 MSG_CHAN_PUT = "chan.put"
-
-_chan_ids = itertools.count()
 
 
 class Channel:
@@ -54,7 +51,9 @@ class Channel:
         self.consumer = consumer
         self.mechanism = mechanism
         self.capacity = capacity
-        self.cid = next(_chan_ids)
+        #: per machine, so the handler's message type (chan.put.<cid>)
+        #: is the same whatever else the process has simulated
+        self.cid = next(machine.sim.ids)
         if mechanism == "sm":
             # Ring buffer: data and availability counters homed at the
             # consumer (it polls them locally); drain counters homed at

@@ -94,13 +94,6 @@ def run_scenario(scenario: dict) -> dict:
     return result
 
 
-def replay_equal(a: dict, b: dict) -> bool:
-    """Byte-level equality of two results (JSON-canonical, so tuple/
-    list representation differences between pickled worker returns and
-    JSON-roundtripped corpus entries don't matter)."""
-    return canonical(a) == canonical(b)
-
-
 def canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

@@ -1,6 +1,6 @@
 """Exporters: Perfetto/Chrome trace JSON and the run.json manifest.
 
-``export_perfetto`` turns recorded trace events into the Chrome
+``build_perfetto`` turns recorded trace events into the Chrome
 trace-event JSON format (the ``traceEvents`` array form), loadable at
 https://ui.perfetto.dev or ``chrome://tracing``:
 
@@ -16,7 +16,7 @@ https://ui.perfetto.dev or ``chrome://tracing``:
 Timestamps are simulated cycles written as microseconds — Perfetto's
 "us" ruler then reads directly as cycles.
 
-``write_run_manifest`` / ``validate_run_manifest`` define the
+``build_run_manifest`` / ``validate_run_manifest`` define the
 machine-readable ``run.json`` contract: the required keys in
 :data:`RUN_MANIFEST_REQUIRED` plus the invariant that each node's
 cycle-attribution buckets sum to its total cycles. CI runs
@@ -25,7 +25,6 @@ cycle-attribution buckets sum to its total cycles. CI runs
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable
 
 #: keys every run.json must carry (CI-enforced)
@@ -202,22 +201,6 @@ def build_perfetto(
     return doc
 
 
-def export_perfetto(records: list[dict], path: str) -> int:
-    """Write the session records' traces as one Perfetto-loadable JSON
-    file (pid = machine index). Returns the number of Chrome events."""
-    doc = build_perfetto(records)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return len(doc["traceEvents"])
-
-
-def export_tracer(tracer: Any, path: str) -> int:
-    """Convenience: export one live Tracer's events directly."""
-    return export_perfetto(
-        [{"trace": tracer.events, "label": "machine"}], path
-    )
-
-
 # ----------------------------------------------------------------------
 # run.json manifest
 # ----------------------------------------------------------------------
@@ -279,21 +262,3 @@ def build_run_manifest(
         raise ValueError(f"invalid run manifest: {errors}")
     return manifest
 
-
-def write_run_manifest(
-    path: str,
-    experiment: str,
-    params: dict,
-    timings: dict,
-    metrics: dict | None,
-    cycle_attribution: dict | None,
-    **extra: Any,
-) -> dict:
-    """Assemble, validate, and write run.json; returns the manifest."""
-    manifest = build_run_manifest(
-        experiment, params, timings, metrics, cycle_attribution, **extra
-    )
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    return manifest

@@ -4,11 +4,13 @@ Ties the four pillars together behind one switch: open a session
 (:func:`session`), and every machine built through
 ``experiments.common.make_machine`` while it is active gets the
 configured observers attached at construction time — no experiment
-needs observability plumbing of its own. When an experiment fans its
-sweep points out over worker processes, each worker opens its own
-session (:func:`_obs_run_point`), ships the collected observation
-data back as plain picklable dicts, and the parent merges them in
-input order, so observed parallel runs stay deterministic.
+needs observability plumbing of its own. A sweep
+(:meth:`~repro.perf.sweep.SweepRunner.map`) observes each point it
+runs in a fresh session of its own, inline or in a worker process,
+and the enclosing session absorbs the plain-data payloads in input
+order, cached or fresh. Machines are labelled ``m0, m1, ...`` by their
+place in the session that ends up holding them, so a run's records
+are the same at any job count and cache state.
 
     cfg = ObsConfig(sample_interval=1000, trace=True)
     with session(cfg) as s:
@@ -18,6 +20,7 @@ input order, so observed parallel runs stay deterministic.
 
 from __future__ import annotations
 
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,7 +33,10 @@ from repro.obs.sampler import TimeSampler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check import CheckReport
     from repro.machine.machine import Machine
-    from repro.perf.sweep import SweepPoint
+
+#: a label the session gave a machine itself (any other label, such as
+#: a partition shard's ``shard<k>:m<i>``, is kept when absorbed)
+_OWN_LABEL = re.compile(r"m\d+")
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,10 @@ class ObsSession:
             self.cache_stats[key] = self.cache_stats.get(key, 0) + value
 
     # ------------------------------------------------------------------
-    def observe(self, machine: "Machine", label: str = "") -> None:
+    def _next_label(self) -> str:
+        return f"m{len(self._observed) + len(self.records)}"
+
+    def observe(self, machine: "Machine") -> None:
         """Attach the configured observers to a freshly-built machine."""
         cfg = self.cfg
         if not cfg.enabled:
@@ -130,9 +139,9 @@ class ObsSession:
             tracer = Tracer(
                 machine, kinds=cfg.trace_kinds, max_events=cfg.max_trace_events
             )
-        if label == "":
-            label = f"m{len(self._observed) + len(self.records)}"
-        self._observed.append((machine, label, tracer, profiler, sampler, checkers))
+        self._observed.append(
+            (machine, self._next_label(), tracer, profiler, sampler, checkers)
+        )
 
     def _finalize(self, rec: tuple[Any, ...]) -> None:
         machine, label, tracer, profiler, sampler, checkers = rec
@@ -183,9 +192,13 @@ class ObsSession:
 
     # ------------------------------------------------------------------
     def absorb(self, data: dict) -> None:
-        """Fold a worker's :meth:`data` payload into this session
-        (called in input order by SweepRunner → deterministic)."""
-        self.records.extend(data["records"])
+        """Fold another session's :meth:`data` payload into this one
+        (SweepRunner calls it in input order). Machines that session
+        labelled itself are renamed by their place in this one."""
+        for rec in data["records"]:
+            if _OWN_LABEL.fullmatch(rec["label"]):
+                rec = {**rec, "label": self._next_label()}
+            self.records.append(rec)
         if data.get("metrics") is not None:
             snap = MetricsSnapshot.from_dict(data["metrics"])
             if self.metrics is None:
@@ -279,14 +292,3 @@ def session(cfg: ObsConfig) -> Iterator[ObsSession]:
     finally:
         _TLS.session = prev
 
-
-def _obs_run_point(arg: tuple[ObsConfig, "SweepPoint"]) -> tuple[Any, dict]:
-    """Worker-side sweep entry: run one point under a fresh session
-    (regardless of any session object inherited across ``fork``) and
-    return (result, observation data) for the parent to absorb."""
-    from repro.perf.sweep import run_point
-
-    cfg, point = arg
-    with session(cfg) as s:
-        result = run_point(point)
-        return result, s.data()

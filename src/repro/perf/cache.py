@@ -493,8 +493,8 @@ def _cmd_verify(cache: RunCache, args: argparse.Namespace) -> int:
 def _cmd_bench(cache: RunCache, args: argparse.Namespace) -> int:
     """Run the quick experiment sweep twice under the cache and gate on
     the warm-run speedup (CI uses this after restoring the cache dir)."""
-    from repro.cli import QUICK_ARGS
     from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.spec import QUICK_ARGS
 
     def run_all() -> tuple[float, str]:
         t0 = time.perf_counter()

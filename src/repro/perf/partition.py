@@ -42,16 +42,11 @@ drain — byte-identical to an unpartitioned run by construction.
 from __future__ import annotations
 
 import gc
-import os
 import time
 import traceback
 from typing import Any, Callable
 
 from repro.sim.engine import SimulationError
-
-#: env override for the CI bench gate's job count (satellite of the
-#: partition work: multi-core runners set it to exercise real fan-out)
-BENCH_JOBS_ENV = "REPRO_BENCH_JOBS"
 
 
 class PartitionError(SimulationError):

@@ -76,21 +76,22 @@ def run_point(point: SweepPoint) -> Any:
     return point.resolve()(**point.kwargs)
 
 
-def _timed_run_point(point: SweepPoint) -> tuple[Any, float]:
-    """Worker entry that also measures the point's wall cost, which the
-    cache records to drive longest-cost-first scheduling next time."""
+def _run_point_entry(arg: tuple[Any, SweepPoint]) -> tuple[Any, dict | None, float]:
+    """The one entry every executed point goes through, inline or in a
+    pool worker: run it (under a fresh observation session when ``cfg``
+    is given, whatever session a forked worker inherited) and return
+    ``(result, observation payload, wall cost)``."""
+    from repro.obs.session import session
+
+    cfg, point = arg
     t0 = time.perf_counter()
-    result = run_point(point)
-    return result, time.perf_counter() - t0
-
-
-def _timed_obs_run_point(arg: tuple[Any, SweepPoint]) -> tuple[Any, dict, float]:
-    """Observed worker entry with wall-cost measurement."""
-    from repro.obs.session import _obs_run_point
-
-    t0 = time.perf_counter()
-    result, data = _obs_run_point(arg)
-    return result, data, time.perf_counter() - t0
+    if cfg is None:
+        result, payload = run_point(point), None
+    else:
+        with session(cfg) as s:
+            result = run_point(point)
+            payload = s.data()
+    return result, payload, time.perf_counter() - t0
 
 
 def default_jobs() -> int:
@@ -187,184 +188,83 @@ class SweepRunner:
         return self.jobs > 1 and n_runnable >= parallel_min_points()
 
     def map(self, points: Sequence[SweepPoint]) -> list[Any]:
-        points = list(points)
+        """Results of ``points`` in input order. With a run cache, hits
+        replay and misses run; without one every point is a miss and
+        nothing is stored. Under an observation session each executed
+        point is observed in its own session, and every payload, cached
+        or fresh, is absorbed in input order, so the session's records
+        do not depend on job count or cache state."""
         from repro.obs.session import current as obs_current
-        from repro.perf.cache import current as cache_current
-        from repro.perf.progress import current as progress_current
+        from repro.perf.cache import code_fingerprint, current as cache_current
+        from repro.perf.progress import current as progress_current, point_label
 
+        points = list(points)
         cache = cache_current()
         sess = obs_current()
         notify = progress_current()
-        if cache is not None:
-            return self._map_cached(points, cache, sess, notify)
-        return self._map_plain(points, sess, notify)
-
-    @staticmethod
-    def _point_done(notify: Any, point: SweepPoint, i: int,
-                    cached: bool = False) -> None:
-        """Report one finished point to the active progress callback
-        (host-side only; a raised exception aborts the sweep — the
-        service's between-points cancellation hook)."""
-        if notify is not None:
-            from repro.perf.progress import point_label
-
-            notify({
-                "event": "point", "index": i,
-                "label": point_label(point, i), "cached": cached,
-            })
-
-    # -- no cache: the reference parallel path -------------------------
-    def _map_plain(
-        self, points: list[SweepPoint], sess: Any, notify: Any = None
-    ) -> list[Any]:
-        if notify is not None:
-            notify({"event": "sweep_start", "points": len(points), "cached": 0})
-        if not self._fan_out(len(points)):
-            # in-process: an active observation session sees each
-            # machine directly through make_machine
-            results = []
-            for i, p in enumerate(points):
-                results.append(run_point(p))
-                self._point_done(notify, p, i)
-            return results
-        pool = _get_pool(self.jobs)
-        cs = _chunksize(len(points), min(self.jobs, len(points)))
-        if sess is None:
-            results = []
-            for i, result in enumerate(pool.imap(run_point, points, cs)):
-                results.append(result)
-                self._point_done(notify, points[i], i)
-            return results
-        # observed parallel run: each worker opens its own session and
-        # ships plain observation data back with its result; absorbing
-        # in input order keeps the merge deterministic at any job count
-        from repro.obs.session import _obs_run_point
-
-        results = []
-        for result, data in pool.imap(
-            _obs_run_point, [(sess.cfg, p) for p in points], cs
-        ):
-            results.append(result)
-            sess.absorb(data)
-            self._point_done(notify, points[len(results) - 1], len(results) - 1)
-        return results
-
-    # -- incremental path: replay hits, run misses cost-first ----------
-    def _map_cached(
-        self, points: list[SweepPoint], cache: Any, sess: Any,
-        notify: Any = None,
-    ) -> list[Any]:
-        from repro.perf.cache import code_fingerprint
-
-        n = len(points)
-        obs_cfg = sess.cfg if (sess is not None and sess.cfg.enabled) else None
+        obs_cfg = sess.cfg if sess is not None and sess.cfg.enabled else None
         obs_key = repr(obs_cfg) if obs_cfg is not None else ""
-        before = cache.stats.snapshot()
+        results: list[Any] = [None] * len(points)
+        payloads: list[dict | None] = [None] * len(points)
+        misses = list(range(len(points)))
+        if cache is not None:
+            before = cache.stats.snapshot()
+            mods = [p.fn.partition(":")[0] for p in points]
+            by_mod = {mod: code_fingerprint(mod) for mod in set(mods)}
+            fps = [by_mod[mod] for mod in mods]
+            keys = [cache.key_for(p, fp, obs_key) for p, fp in zip(points, fps)]
+            misses = []
+            for i, point in enumerate(points):
+                entry = cache.get(keys[i], point)
+                if entry is None:
+                    misses.append(i)
+                else:
+                    results[i] = entry["result"]
+                    payloads[i] = entry.get("obs")
 
-        fps: dict[str, str] = {}
-
-        def fingerprint_of(point: SweepPoint) -> str:
-            mod = point.fn.partition(":")[0]
-            fp = fps.get(mod)
-            if fp is None:
-                fp = fps[mod] = code_fingerprint(mod)
-            return fp
-
-        keys = [cache.key_for(p, fingerprint_of(p), obs_key) for p in points]
-        results: list[Any] = [None] * n
-        payloads: list[dict | None] = [None] * n
-        misses: list[int] = []
-        for i, point in enumerate(points):
-            entry = cache.get(keys[i], point)
-            if entry is not None:
-                results[i] = entry["result"]
-                payloads[i] = entry.get("obs")
-            else:
-                misses.append(i)
+        def done(i: int, cached: bool) -> None:
+            # a callback-raised abort is the service's cancellation path
+            if notify is not None:
+                notify({"event": "point", "index": i,
+                        "label": point_label(points[i], i), "cached": cached})
 
         if notify is not None:
-            notify({
-                "event": "sweep_start", "points": n,
-                "cached": n - len(misses),
-            })
+            notify({"event": "sweep_start", "points": len(points),
+                    "cached": len(points) - len(misses)})
             missing = set(misses)
-            for i, point in enumerate(points):
+            for i in range(len(points)):
                 if i not in missing:
-                    self._point_done(notify, point, i, cached=True)
-        if misses:
-            self._run_misses(
-                points, misses, keys, cache, obs_cfg, obs_key,
-                fingerprint_of, results, payloads, notify,
-            )
-        if obs_cfg is not None:
-            # merge observation payloads (cached and fresh alike) in
-            # input order — same determinism contract as _map_plain
-            for data in payloads:
-                if data:
-                    sess.absorb(data)
-        if sess is not None:
-            sess.note_cache(cache.stats.delta(before))
-        return results
-
-    def _run_misses(
-        self,
-        points: list[SweepPoint],
-        misses: list[int],
-        keys: list[str],
-        cache: Any,
-        obs_cfg: Any,
-        obs_key: str,
-        fingerprint_of: Callable[[SweepPoint], str],
-        results: list[Any],
-        payloads: list[dict | None],
-        notify: Any = None,
-    ) -> None:
-        def put(i: int, result: Any, data: dict | None, cost: float) -> None:
-            results[i] = result
-            if data is not None:
-                payloads[i] = data
-            cache.put(
-                keys[i], points[i], fingerprint_of(points[i]), obs_key,
-                result, data, cost,
-            )
-            # after the cache write: a callback-raised abort (the
-            # service's cancellation path) never loses finished work
-            self._point_done(notify, points[i], i)
-
-        if self._fan_out(len(misses)):
+                    done(i, cached=True)
+        fan_out = self._fan_out(len(misses))
+        if fan_out and cache is not None:
             # longest-recorded-cost-first shrinks the parallel critical
             # path; points never seen before sort first (conservatively
-            # "could be long"). Results land back by original index, so
-            # the merge order is untouched.
+            # "could be long")
             def rank(i: int) -> float:
                 cost = cache.recorded_cost(points[i])
                 return -cost if cost is not None else float("-inf")
 
-            order = sorted(misses, key=rank)
-            pool = _get_pool(self.jobs)
-            cs = _chunksize(len(misses), min(self.jobs, len(misses)))
-            if obs_cfg is None:
-                it = pool.imap(
-                    _timed_run_point, [points[i] for i in order], cs
-                )
-                for i, (result, cost) in zip(order, it):
-                    put(i, result, None, cost)
-            else:
-                it = pool.imap(
-                    _timed_obs_run_point,
-                    [(obs_cfg, points[i]) for i in order], cs,
-                )
-                for i, (result, data, cost) in zip(order, it):
-                    put(i, result, data, cost)
-            return
-        # serial misses keep input order (the reference behaviour);
-        # under a session each point runs in a nested session so its
-        # observation payload is captured per-point for the cache —
-        # absorbed by the caller exactly like a worker payload
-        for i in misses:
-            if obs_cfg is None:
-                result, cost = _timed_run_point(points[i])
-                put(i, result, None, cost)
-            else:
-                result, data, cost = _timed_obs_run_point((obs_cfg, points[i]))
-                put(i, result, data, cost)
+            misses.sort(key=rank)
+        args = [(obs_cfg, points[i]) for i in misses]
+        if fan_out:
+            procs = min(self.jobs, len(misses))
+            outs = _get_pool(self.jobs).imap(
+                _run_point_entry, args, _chunksize(len(misses), procs)
+            )
+        else:
+            outs = map(_run_point_entry, args)
+        for i, (result, payload, cost) in zip(misses, outs):
+            results[i] = result
+            payloads[i] = payload
+            if cache is not None:
+                cache.put(keys[i], points[i], fps[i], obs_key,
+                          result, payload, cost)
+            # after the cache write: an abort never loses finished work
+            done(i, cached=False)
+        if sess is not None:
+            for payload in payloads:
+                if payload:
+                    sess.absorb(payload)
+            if cache is not None:
+                sess.note_cache(cache.stats.delta(before))
+        return results

@@ -15,9 +15,8 @@ queue is empty.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from repro.cmmu.interface import Cmmu
@@ -28,8 +27,6 @@ from repro.memory.store import BackingStore
 from repro.proc import effects as fx
 from repro.proc.batch import BATCH_CLASSES as _BATCHES, MicroBatch
 from repro.sim.engine import SimulationError, Simulator
-
-_ctx_ids = itertools.count()
 
 HandlerFn = Callable[[Message], Generator]
 
@@ -43,11 +40,12 @@ class Context:
     thousands of them."""
 
     gen: Generator
+    #: unique per machine (``Simulator.ids``)
+    cid: int
     label: str = ""
     is_handler: bool = False
     msg: Message | None = None
     on_finish: Callable[[Any], None] | None = None
-    cid: int = field(default_factory=lambda: next(_ctx_ids))
     finished: bool = False
     #: a cache miss is outstanding for this context (it may be
     #: switched out late if other work becomes ready meanwhile)
@@ -151,7 +149,8 @@ class Processor:
     ) -> Context:
         """Enqueue a new thread context; it runs when the processor
         gets to it."""
-        ctx = Context(gen=gen, label=label, on_finish=on_finish)
+        ctx = Context(gen=gen, cid=next(self.sim.ids), label=label,
+                      on_finish=on_finish)
         self._enqueue_ready(ctx, None, False, front=front)
         for fn in self.after_spawn:
             fn(ctx)
@@ -220,7 +219,8 @@ class Processor:
             gen = self.idle_hook()
             if gen is not None:
                 self.stats.idle_probes += 1
-                ctx = Context(gen=gen, label=f"idle@{self.node}")
+                ctx = Context(gen=gen, cid=next(self.sim.ids),
+                              label=f"idle@{self.node}")
                 self.current = ctx
                 self._step(ctx, None)
         # 4. otherwise sleep until kicked
@@ -254,7 +254,8 @@ class Processor:
         self.in_handler = True
         self.cmmu.stats.interrupts_raised += 1
         self.stats.handlers_run += 1
-        ctx = Context(gen=fn(msg), label=f"h:{msg.mtype}", is_handler=True, msg=msg)
+        ctx = Context(gen=fn(msg), cid=next(self.sim.ids),
+                      label=f"h:{msg.mtype}", is_handler=True, msg=msg)
         self.sim.call_after(self.cmmu.p.interrupt_entry, lambda: self._step(ctx, None))
 
     def _exit_handler(self) -> None:

@@ -28,6 +28,7 @@ Typical use::
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
@@ -113,6 +114,7 @@ class Runtime:
         #: (coherence traffic is hardware-reliable)
         self.reliable = reliable
         self.tasks: dict[int, Task] = {}
+        self._task_ids = itertools.count(1)
         self.done = False
         if machine.shard is not None:
             # partitioned runs: the root shard broadcasts completion at
@@ -153,7 +155,8 @@ class Runtime:
     def make_task(
         self, factory: TaskFactory, home: int, label: str = "", pinned: bool = False
     ) -> Task:
-        task = Task(factory=factory, home=home, label=label, pinned=pinned)
+        task = Task(factory=factory, home=home, tid=next(self._task_ids),
+                    label=label, pinned=pinned)
         self.tasks[task.tid] = task
         if hooks.SINKS:
             # publish the forker's clock; Task.body observes it wherever

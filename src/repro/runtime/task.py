@@ -11,14 +11,11 @@ future at the join.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
 from repro.check import hooks
 from repro.runtime.sync import Future
-
-_task_ids = itertools.count(1)  # 0 is reserved as "no task" in queue words
 
 TaskFactory = Callable[["object", int], Generator]
 """Called as ``factory(rt, node)`` where ``node`` is wherever the task
@@ -35,8 +32,9 @@ class TaskState(enum.Enum):
 class Task:
     factory: TaskFactory
     home: int
+    #: numbered per Runtime from 1 (0 means "no task" in queue words)
+    tid: int
     label: str = ""
-    tid: int = field(default_factory=lambda: next(_task_ids))
     future: Future = field(default_factory=Future)
     state: TaskState = TaskState.QUEUED
     ran_on: int | None = None

@@ -1,23 +1,12 @@
 """Turning a job spec into an experiment run and its artifact set.
 
-A *spec* is the plain-JSON description a client submits::
-
-    {
-      "experiment": "fig8",          # required, one of ALL_EXPERIMENTS
-      "quick": true,                 # start from the CLI's --quick args
-      "nodes": 16,                   # machine-size override (where legal)
-      "params": {"block_sizes": [64, 256]},   # driver kwargs
-      "trace": false,                # capture a Perfetto trace artifact
-      "sample_interval": 0,          # time-series sampling period
-      "check": ["race", "deadlock"]  # dynamic checkers to attach
-    }
-
-Resolution is strict — unknown experiments, unknown parameter names,
-and malformed values are rejected at submission time (HTTP 400), not
-discovered by a failed job. Lists arriving from JSON are normalized
-to tuples so a spec resolves to exactly the kwargs a direct
-``repro.cli`` invocation would produce, and so the run key below is
-canonical.
+Specs (``{"experiment": "fig8", "quick": true, ...}``) are resolved by
+:func:`repro.experiments.spec.resolve` and their artifacts built by
+:func:`repro.experiments.spec.build_artifacts` — the same code
+``repro run`` uses, so a job's ``run.json`` and ``trace.json`` match a
+direct run's. Resolution is strict: a malformed spec is rejected at
+submission time (HTTP 400), not discovered by a failed job. A
+``{"fuzz": {...}}`` spec runs a fuzzing campaign instead.
 
 The **run key** is the service-level twin of the run cache's key:
 
@@ -37,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 import time
 from typing import Any, Callable
 
@@ -47,34 +35,11 @@ from repro.serve.orchestrator import JobCancelled
 #: incompatibly (orphans every stored run)
 EXECUTOR_SCHEMA = 1
 
-_SPEC_KEYS = {
-    "experiment", "quick", "nodes", "params", "trace", "sample_interval",
-    "check", "partitions",
-}
-
 #: legal keys inside a {"fuzz": {...}} spec, with bounds-checked types
 _FUZZ_KEYS = {
     "seeds": int, "base_seed": int, "budget": (int, float),
     "inject_bug": bool, "minimize": bool,
 }
-
-
-def _normalize(value: Any) -> Any:
-    """JSON params → canonical kwargs (lists become tuples, recursively),
-    matching the tuple-valued parameterizations the CLI uses."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
-    return value
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 class ExperimentExecutor:
@@ -87,88 +52,6 @@ class ExperimentExecutor:
         self.jobs = max(1, int(jobs))
 
     # -- spec resolution ----------------------------------------------
-    def resolve(self, spec: dict) -> tuple[str, dict[str, Any], Any]:
-        """Validate ``spec`` → (experiment id, driver kwargs, ObsConfig).
-
-        Raises ValueError on anything malformed."""
-        from repro.cli import NODES_KW, QUICK_ARGS
-        from repro.experiments import ALL_EXPERIMENTS
-        from repro.obs.session import ObsConfig
-
-        if not isinstance(spec, dict):
-            raise ValueError("job spec must be a JSON object")
-        if "fuzz" in spec:
-            raise ValueError("fuzz specs resolve via resolve_fuzz")
-        unknown = set(spec) - _SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        exp_id = spec.get("experiment")
-        if exp_id not in ALL_EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {exp_id!r}; "
-                f"one of {sorted(ALL_EXPERIMENTS)}"
-            )
-        fn = ALL_EXPERIMENTS[exp_id]
-        kwargs: dict[str, Any] = dict(QUICK_ARGS[exp_id]) if spec.get("quick") else {}
-        params = spec.get("params") or {}
-        if not isinstance(params, dict):
-            raise ValueError("spec 'params' must be an object")
-        legal = set(inspect.signature(fn).parameters) - {"jobs"}
-        bad = set(params) - legal
-        if bad:
-            raise ValueError(
-                f"experiment {exp_id!r} has no parameters {sorted(bad)}; "
-                f"legal: {sorted(legal)}"
-            )
-        kwargs.update({k: _normalize(v) for k, v in params.items()})
-        nodes = spec.get("nodes")
-        if nodes is not None:
-            kw = NODES_KW.get(exp_id)
-            if kw is None:
-                raise ValueError(
-                    f"experiment {exp_id!r} does not take a node count"
-                )
-            kwargs[kw] = int(nodes)
-        sample_interval = int(spec.get("sample_interval") or 0)
-        if sample_interval < 0:
-            raise ValueError("'sample_interval' must be >= 0")
-        checks: tuple[str, ...] = ()
-        if spec.get("check"):
-            from repro.check import validate_checks
-
-            checks = validate_checks(spec["check"])
-        if "partitions" in params:
-            raise ValueError(
-                "'partitions' is a top-level spec key, not a param"
-            )
-        if spec.get("partitions") is not None:
-            from repro.perf.partition import validate_partitions
-
-            if "partitions" not in inspect.signature(fn).parameters:
-                raise ValueError(
-                    f"experiment {exp_id!r} does not support 'partitions'"
-                )
-            if checks:
-                raise ValueError(
-                    "'partitions' cannot be combined with 'check' "
-                    "(dynamic checkers need a global view)"
-                )
-            nkw = NODES_KW.get(exp_id)
-            if nkw:
-                default_n = inspect.signature(fn).parameters[nkw].default
-                n_plan = int(kwargs.get(nkw, default_n))
-            else:
-                n_plan = 64
-            kwargs["partitions"] = validate_partitions(
-                spec["partitions"], n_plan
-            )
-        obs_cfg = ObsConfig(
-            sample_interval=sample_interval,
-            trace=bool(spec.get("trace")),
-            check=checks,
-        )
-        return exp_id, kwargs, obs_cfg
-
     def resolve_fuzz(self, spec: dict) -> dict[str, Any]:
         """Validate a ``{"fuzz": {...}}`` spec → campaign kwargs."""
         body = spec.get("fuzz")
@@ -210,9 +93,9 @@ class ExperimentExecutor:
             payload = f"{descriptor}\n{fingerprint}\n"
             return hashlib.sha256(payload.encode()).hexdigest()
 
-        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments import ALL_EXPERIMENTS, spec as specs
 
-        exp_id, kwargs, obs_cfg = self.resolve(spec)
+        exp_id, kwargs, obs_cfg = specs.resolve(spec)
         descriptor = repr((EXECUTOR_SCHEMA, exp_id, sorted(kwargs.items())))
         fingerprint = code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__)
         payload = f"{descriptor}\n{fingerprint}\n{obs_cfg!r}"
@@ -237,8 +120,7 @@ class ExperimentExecutor:
         context (trace id, submission timestamps) stamped into the
         Perfetto trace artifact as host-side spans.
         """
-        from repro.experiments import ALL_EXPERIMENTS
-        from repro.obs.export import build_perfetto, build_run_manifest
+        from repro.experiments import ALL_EXPERIMENTS, spec as specs
         from repro.obs.session import session as obs_session
         from repro.perf import progress as perf_progress
         from repro.perf.cache import activate, code_fingerprint
@@ -246,7 +128,7 @@ class ExperimentExecutor:
         if "fuzz" in spec:
             return self._execute_fuzz(spec, should_cancel, progress)
 
-        exp_id, kwargs, obs_cfg = self.resolve(spec)
+        exp_id, kwargs, obs_cfg = specs.resolve(spec)
         fn = ALL_EXPERIMENTS[exp_id]
         if should_cancel():
             raise JobCancelled()
@@ -312,54 +194,22 @@ class ExperimentExecutor:
         if should_cancel():
             raise JobCancelled()
 
-        params = _jsonable(kwargs)
-        timings = {
-            "wall_seconds": round(wall, 3),
-            "machines": len(data["records"]),
-            "simulated_cycles": sum(r["cycles"] for r in data["records"]),
-        }
-        extra: dict[str, Any] = {}
-        if data.get("check") is not None:
-            extra["check"] = data["check"]
-        if data.get("cache") is not None:
-            extra["cache"] = data["cache"]
-        manifest = build_run_manifest(
-            experiment=exp_id,
-            params=params,
-            timings=timings,
-            metrics=data["metrics"],
-            cycle_attribution=data["cycle_attribution"],
-            samples=[r["samples"] for r in data["records"] if "samples" in r],
-            **extra,
-        )
-        table = {
-            "exp_id": result.exp_id,
-            "title": result.title,
-            "columns": result.columns,
-            "rows": result.rows,
-            "notes": result.notes,
-        }
-        artifacts = {
-            "report.txt": (result.format_table() + "\n").encode(),
-            "table.json": _dump(table),
-            "run.json": _dump(manifest),
-        }
-        if obs_cfg.trace:
-            host_events = _host_trace_events(
+        trace_id = (job_info or {}).get("trace_id")
+        artifacts = specs.build_artifacts(
+            exp_id, kwargs, result, data, wall,
+            trace=obs_cfg.trace,
+            host_events=_host_trace_events(
                 exp_id, job_info, t0_mono, time.monotonic(), point_log
-            )
-            artifacts["trace.json"] = _dump(build_perfetto(
-                data["records"],
-                host_events=host_events,
-                trace_id=(job_info or {}).get("trace_id"),
-            ))
+            ) if obs_cfg.trace else None,
+            trace_id=trace_id,
+        )
         meta = {
             "experiment": exp_id,
-            "params": params,
-            "wall_seconds": timings["wall_seconds"],
+            "params": kwargs,
+            "wall_seconds": round(wall, 3),
             "fingerprint": code_fingerprint(fn.__module__),
             "obs_key": repr(obs_cfg),
-            "trace_id": (job_info or {}).get("trace_id"),
+            "trace_id": trace_id,
             "cache": (
                 self.cache.stats.delta(cache_before)
                 if cache_before is not None
@@ -384,6 +234,7 @@ class ExperimentExecutor:
             format_report,
             run_campaign,
         )
+        from repro.experiments.spec import dump_json
         from repro.perf.cache import code_fingerprint
 
         kwargs = self.resolve_fuzz(spec)
@@ -417,7 +268,7 @@ class ExperimentExecutor:
         artifacts = {
             "report.txt": (format_report(report) + "\n").encode(),
             "campaign.json": dump_report(report),
-            "findings.json": _dump(report["findings"]),
+            "findings.json": dump_json(report["findings"]),
         }
         return meta, artifacts
 
@@ -468,6 +319,3 @@ def _host_trace_events(
         prev = point["mono"]
     return host_span_events(spans, trace_id=info.get("trace_id"))
 
-
-def _dump(doc: Any) -> bytes:
-    return json.dumps(doc, indent=1, default=str).encode() + b"\n"

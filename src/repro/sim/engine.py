@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 from collections import deque
 from typing import Callable
 
@@ -119,7 +120,7 @@ class Simulator:
 
     __slots__ = (
         "_buckets", "_times", "_live", "_daemons",
-        "now", "_running", "events_processed",
+        "now", "_running", "events_processed", "ids",
     )
 
     def __init__(self) -> None:
@@ -132,6 +133,10 @@ class Simulator:
         self.now: int = 0
         self._running = False
         self.events_processed: int = 0
+        #: the machine's id source (execution contexts, channels):
+        #: traces name things by these ids, so they count per machine,
+        #: never across everything the process has simulated
+        self.ids = itertools.count()
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -1,9 +1,13 @@
 """Tests for the CLI entry point."""
 
+import json
+import re
+
 import pytest
 
-from repro.cli import QUICK_ARGS, main, run_experiment
+from repro.cli import main, run_experiment
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.spec import QUICK_ARGS
 
 
 def test_quick_args_cover_all_experiments():
@@ -132,3 +136,47 @@ def test_job_line_includes_progress_and_run_seconds():
         "key": "k" * 64, "run_seconds": 1.5, "progress": None,
     })
     assert "wall=1.50s" in line
+
+
+def test_run_params_do_not_depend_on_jobs(tmp_path):
+    # --jobs says how a run is computed, not what it computes
+    params = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}.json"
+        assert main(["run", "fig8", "--quick", "--no-cache", "--jobs", jobs,
+                     "--metrics-out", str(out)]) == 0
+        params.append(json.loads(out.read_text())["params"])
+    assert params[0] == params[1]
+
+
+def test_run_manifest_matches_the_executors(tmp_path):
+    # one artifact builder: repro run writes the daemon's run.json
+    from repro.serve.executor import ExperimentExecutor
+
+    out = tmp_path / "run.json"
+    assert main(["run", "fig8", "--quick", "--no-cache",
+                 "--metrics-out", str(out)]) == 0
+    _meta, artifacts = ExperimentExecutor().execute(
+        {"experiment": "fig8", "quick": True}
+    )
+
+    def no_wall(blob):
+        return re.sub(rb'"wall_seconds": [0-9.e-]+', b'"wall_seconds": 0', blob)
+
+    assert no_wall(out.read_bytes()) == no_wall(artifacts["run.json"])
+
+
+def test_fault_flags_become_faults_params(monkeypatch):
+    from repro.experiments import spec as specs
+
+    resolved = []
+    resolve = specs.resolve
+    monkeypatch.setattr(
+        specs, "resolve", lambda spec: resolved.append(resolve(spec)) or resolved[-1]
+    )
+    assert main(["run", "faults", "--quick", "--no-cache",
+                 "--fault-rate", "0.1", "--fault-seed", "3"]) == 0
+    exp_id, kwargs, _ = resolved[0]
+    assert exp_id == "faults"
+    assert kwargs["loss_rates"] == (0.0, 0.1)
+    assert kwargs["seed"] == 3

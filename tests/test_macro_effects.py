@@ -694,7 +694,7 @@ def started_runner(m, kind):
     """The runner node 0's processor starts for a program yielding the
     ``kind`` macro-effect."""
     eff = RUNNERS[kind][0](m.alloc(1, 128))
-    ctx = Context(gen=(e for e in [eff]), label="prog")
+    ctx = Context(gen=(e for e in [eff]), cid=0, label="prog")
     m.processor(0)._step(ctx, None)
     return type(ctx.batch)
 

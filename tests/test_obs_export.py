@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from repro.experiments.spec import dump_json
 from repro.obs.export import (
     RUN_MANIFEST_REQUIRED,
+    build_perfetto,
+    build_run_manifest,
     events_to_chrome,
-    export_perfetto,
     validate_run_manifest,
-    write_run_manifest,
 )
 from repro.obs.session import ObsConfig, ObsSession, current, session
 from repro.obs.validate import TRACE_EVENT_REQUIRED, main as validate_main
@@ -89,7 +90,9 @@ class TestChromeExport:
             {"label": "m1", "trace": [ev(0, 0, "packet", "p", "")]},
         ]
         path = tmp_path / "trace.json"
-        n = export_perfetto(records, str(path))
+        built = build_perfetto(records)
+        path.write_bytes(dump_json(built))
+        n = len(built["traceEvents"])
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) == n
         assert {e["pid"] for e in doc["traceEvents"]} == {0, 1}
@@ -141,22 +144,20 @@ class TestRunManifest:
     def test_write_validates_and_writes(self, tmp_path):
         path = tmp_path / "run.json"
         src = self.manifest()
-        write_run_manifest(
-            str(path),
+        path.write_bytes(dump_json(build_run_manifest(
             experiment=src["experiment"],
             params=src["params"],
             timings=src["timings"],
             metrics=src["metrics"],
             cycle_attribution=src["cycle_attribution"],
-        )
+        )))
         assert validate_run_manifest(json.loads(path.read_text())) == []
 
     def test_write_rejects_broken_attribution(self, tmp_path):
         src = self.manifest()
         src["cycle_attribution"]["per_node"]["0"]["total"] = 999
         with pytest.raises(ValueError):
-            write_run_manifest(
-                str(tmp_path / "run.json"),
+            build_run_manifest(
                 experiment="x", params={}, timings={},
                 metrics=None, cycle_attribution=src["cycle_attribution"],
             )

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.spec import resolve
 from repro.perf.partition import (
     PartitionError,
     PartitionPlan,
@@ -162,6 +163,15 @@ def test_checkers_rejected():
         run_partitioned(BARRIER, dict(SM_BARRIER_KW), 8, 2, obs_cfg=cfg)
 
 
+def test_observed_run_keeps_shard_labels():
+    from repro.obs.session import ObsConfig, session
+
+    with session(ObsConfig()) as s:
+        run_partitioned(BARRIER, dict(MP_BARRIER_KW), 16, 2, obs_cfg=s.cfg)
+        data = s.data()
+    assert [r["label"] for r in data["records"]] == ["shard0:m0", "shard1:m0"]
+
+
 def test_max_events_aborts_runaway():
     with pytest.raises(SimulationError, match="max_events"):
         run_partitioned(BARRIER, dict(SM_BARRIER_KW), 8, 2, max_events=50)
@@ -228,26 +238,26 @@ class TestServeSpecs:
         return ExperimentExecutor()
 
     def test_partitions_resolved_into_kwargs(self):
-        _, kwargs, _ = self._ex().resolve(
+        _, kwargs, _ = resolve(
             {"experiment": "fig11", "quick": True, "partitions": 2}
         )
         assert kwargs["partitions"] == 2
 
     def test_partitions_validated_against_node_count(self):
         with pytest.raises(ValueError, match="cannot exceed n_nodes"):
-            self._ex().resolve(
+            resolve(
                 {"experiment": "fig11", "nodes": 4, "partitions": 8}
             )
 
     def test_partitions_is_not_a_param(self):
         with pytest.raises(ValueError, match="top-level spec key"):
-            self._ex().resolve(
+            resolve(
                 {"experiment": "fig11", "params": {"partitions": 2}}
             )
 
     def test_partitions_rejected_with_check(self):
         with pytest.raises(ValueError, match="global view"):
-            self._ex().resolve(
+            resolve(
                 {"experiment": "fig11", "partitions": 2, "check": ["race"]}
             )
 

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.obs.export import build_perfetto
 from repro.obs.session import ObsConfig, session
 from repro.perf.cache import (
     RunCache,
@@ -193,6 +194,21 @@ class TestRunCache:
 # ----------------------------------------------------------------------
 # Experiment integration: cached tables are byte-identical
 # ----------------------------------------------------------------------
+#: two sweep points each of fig8 (no tasks) and fig9 (tasks, stealing)
+OBSERVED_POINTS = {
+    "fig8": [
+        SweepPoint("repro.experiments.fig8_accum:measure_point",
+                   {"impl": impl, "nbytes": 64})
+        for impl in ("sm", "mp")
+    ],
+    "fig9": [
+        SweepPoint("repro.experiments.fig9_grain:measure_grain",
+                   {"kind": kind, "delay": 0, "depth": 6, "n_nodes": 16})
+        for kind in ("hybrid", "sm")
+    ],
+}
+
+
 class TestExperimentIntegration:
     def test_fig7_cached_rows_and_tables_identical(self, tmp_path):
         fn = ALL_EXPERIMENTS["fig7"]
@@ -207,29 +223,51 @@ class TestExperimentIntegration:
         assert ref == json.dumps(warm.rows, sort_keys=True, default=str)
         assert cold.format_table() == warm.format_table() == reference.format_table()
 
-    def test_observed_cached_run_replays_observations(self, tmp_path):
-        points = [
-            SweepPoint("repro.experiments.fig8_accum:measure_point",
-                       {"impl": "sm", "nbytes": 64}),
-            SweepPoint("repro.experiments.fig8_accum:measure_point",
-                       {"impl": "mp", "nbytes": 64}),
-        ]
+    @pytest.mark.parametrize("mode", ["no-cache", "cold", "warm", "jobs2"])
+    @pytest.mark.parametrize("fig", sorted(OBSERVED_POINTS))
+    def test_observed_cached_run_replays_observations(
+        self, tmp_path, monkeypatch, fig, mode
+    ):
+        # every mode observes the same machines the same way as an
+        # uncached serial run: same records (labels, context and task
+        # ids included), trace document, metrics and attribution
+        points = OBSERVED_POINTS[fig]
+
+        def observed(jobs=1):
+            with session(ObsConfig(trace=True)) as s:
+                results = SweepRunner(jobs).map(points)
+                return results, s.data()
+
         plain = SweepRunner(1).map(points)
-        with activate(RunCache(tmp_path)):
-            with session(ObsConfig()) as s1:
-                cold = SweepRunner(1).map(points)
-                d1 = s1.data()
-            with session(ObsConfig()) as s2:
-                warm = SweepRunner(1).map(points)
-                d2 = s2.data()
-        assert plain == cold == warm
-        assert d1["cache"]["misses"] == 2 and d1["cache"]["hits"] == 0
-        assert d2["cache"]["hits"] == 2 and d2["cache"]["misses"] == 0
-        # the warm run replays the *same* observations, merged the same
-        assert d1["records"] == d2["records"]
-        assert d1["cycle_attribution"] == d2["cycle_attribution"]
-        names = [r["name"] for r in d2["metrics"]["rows"]]
-        assert "sweep.cache.hits" in names
+        ref_results, ref = observed()
+        if mode == "no-cache":
+            results, data = observed()
+        elif mode == "jobs2":
+            monkeypatch.setenv(PARALLEL_MIN_POINTS_ENV, "2")
+            results, data = observed(jobs=2)
+        else:
+            with activate(RunCache(tmp_path)):
+                results, data = observed()
+                if mode == "warm":
+                    results, data = observed()
+        assert plain == ref_results == results
+        if mode == "cold":
+            assert data["cache"]["misses"] == 2 and data["cache"]["hits"] == 0
+        if mode == "warm":
+            # the warm run replays the *same* observations, merged the same
+            assert data["cache"]["hits"] == 2 and data["cache"]["misses"] == 0
+            names = [r["name"] for r in data["metrics"]["rows"]]
+            assert "sweep.cache.hits" in names
+        assert [r["label"] for r in data["records"]] == ["m0", "m1"]
+        assert data["records"] == ref["records"]
+        assert build_perfetto(data["records"]) == build_perfetto(ref["records"])
+        assert data["cycle_attribution"] == ref["cycle_attribution"]
+
+        def rows(d):
+            return [r for r in d["metrics"]["rows"]
+                    if not r["name"].startswith("sweep.cache.")]
+
+        assert rows(data) == rows(ref)
 
     def test_observed_and_unobserved_results_cached_separately(self, tmp_path):
         points = [SweepPoint("tests.test_perf_cache:_cube", {"x": 3})]
@@ -389,7 +427,7 @@ class TestScheduling:
             cache.put(cache.key_for(p, fp, ""), p, fp, "", 0, None, cost)
             store.delete(cache.points, cache.key_for(p, fp, ""))
 
-        def rank(i):  # mirrors SweepRunner._run_misses ordering
+        def rank(i):  # mirrors SweepRunner.map's miss ordering
             cost = cache.recorded_cost(POINTS[i])
             return -cost if cost is not None else float("-inf")
 

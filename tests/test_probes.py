@@ -89,7 +89,7 @@ class TestDetach:
             assert m.network.faults is None
             assert [first, workload(m)] == expected, order
             # macro-effects are back on their batch runners
-            ctx = Context(gen=(eff for eff in [ComputeLoad(0, 1)]))
+            ctx = Context(gen=(eff for eff in [ComputeLoad(0, 1)]), cid=0)
             m.processor(0)._step(ctx, None)
             assert type(ctx.batch) is ComputeLoadBatch, order
 
@@ -148,8 +148,8 @@ class TestObservedFaultsExperiment:
     fault policy is installed."""
 
     def test_session_with_tracer_and_sampler(self):
-        from repro.cli import QUICK_ARGS
         from repro.experiments import faults_exp
+        from repro.experiments.spec import QUICK_ARGS
         from repro.obs.export import build_perfetto
         from repro.obs.session import ObsConfig, session
 

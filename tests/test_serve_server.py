@@ -13,6 +13,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.experiments.spec import resolve
 from repro.serve.api import ServeApp
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.executor import ExperimentExecutor
@@ -29,9 +30,9 @@ TINY_SPEC = {"experiment": "fig8", "params": {"block_sizes": [64]}}
 # ----------------------------------------------------------------------
 class TestExecutorSpec:
     def test_resolve_quick_matches_cli_quick_args(self):
-        from repro.cli import QUICK_ARGS
+        from repro.experiments.spec import QUICK_ARGS
 
-        exp_id, kwargs, _ = ExperimentExecutor().resolve(
+        exp_id, kwargs, _ = resolve(
             {"experiment": "fig9", "quick": True}
         )
         assert exp_id == "fig9"
@@ -42,7 +43,7 @@ class TestExecutorSpec:
         # the *same work* and must collapse onto the same run key
         ex = ExperimentExecutor()
         json_spec = {"experiment": "fig8", "params": {"block_sizes": [64, 256]}}
-        _, kwargs, _ = ex.resolve(json_spec)
+        _, kwargs, _ = resolve(json_spec)
         assert kwargs["block_sizes"] == (64, 256)
         tuple_spec = {"experiment": "fig8",
                       "params": {"block_sizes": (64, 256)}}
@@ -73,7 +74,7 @@ class TestExecutorSpec:
                 ex.key_for(spec)
 
     def test_nodes_override_lands_in_kwargs(self):
-        _, kwargs, _ = ExperimentExecutor().resolve(
+        _, kwargs, _ = resolve(
             {"experiment": "barrier", "nodes": 16}
         )
         assert kwargs["n_nodes"] == 16

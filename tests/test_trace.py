@@ -243,3 +243,33 @@ class TestAttachDetach:
         m.processor(0).run_thread(again())
         m.run()
         assert len(tracer.events) == packets
+
+
+class TestPerMachineIds:
+    """Ids a trace names things by (contexts, tasks, channels) count per
+    machine, so a trace does not depend on what the process ran before."""
+
+    def test_same_point_twice_traces_the_same(self):
+        from repro.obs.session import ObsConfig, session
+        from repro.perf.sweep import SweepPoint, run_point
+
+        point = SweepPoint(
+            "repro.experiments.fig9_grain:measure_grain",
+            {"kind": "hybrid", "delay": 0, "depth": 6, "n_nodes": 16},
+        )
+        records = []
+        for _ in range(2):
+            with session(ObsConfig(trace=True)) as s:
+                run_point(point)
+                records.append(s.data()["records"])
+        assert records[0] == records[1]
+
+    def test_channels_on_fresh_machines_share_message_types(self):
+        from repro.ext import Channel
+
+        handlers = []
+        for _ in range(2):
+            m = Machine(MachineConfig(n_nodes=4))
+            Channel(m, producer=0, consumer=1, mechanism="mp")
+            handlers.append(sorted(m.processor(1).handlers))
+        assert handlers[0] == handlers[1]
