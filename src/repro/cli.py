@@ -320,15 +320,13 @@ def _job_line(job: dict) -> str:
     wall = ""
     if job.get("run_seconds") is not None:
         wall = f" wall={job['run_seconds']:.2f}s"
-    elif job.get("started") and job.get("finished"):
-        wall = f" wall={job['finished'] - job['started']:.2f}s"
     progress = job.get("progress") or {}
     prog = ""
     if progress.get("total"):
         prog = f" progress={progress.get('done', 0)}/{progress['total']}"
     return (
         f"job {job['id']} state={job['state']} "
-        f"dedup={str(job['dedup']).lower()} priority={job['priority']}"
+        f"dedup={str(job['dedup']).lower()}"
         f"{prog}{wall} key={job['key'][:16]}…"
     )
 
@@ -339,7 +337,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     client = ServeClient(args.server)
     spec = _build_spec(args)
     try:
-        job = client.submit(spec, priority=args.priority)
+        job = client.submit(spec)
         print(_job_line(job))
         if args.wait and job["state"] not in ("done", "failed", "cancelled"):
             job = client.wait(job["id"], timeout=args.timeout)
@@ -405,7 +403,7 @@ def _event_line(event: dict) -> str:
         pos = event.get("queue_position")
         return f"heartbeat{f' queue_position={pos}' if pos else ''}"
     parts = [etype]
-    for key in ("job", "priority", "dedup", "error"):
+    for key in ("job", "dedup", "error"):
         value = event.get(key)
         if value not in (None, False, ""):
             parts.append(f"{key}={value}")
@@ -580,12 +578,10 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="sweep worker-pool width each job may fan out over",
     )
-    servep.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request")
     servep.add_argument(
-        "--log-level", default=None,
+        "--log-level", default="info",
         choices=["debug", "info", "warning", "error"],
-        help="daemon log level (default: info; --verbose implies debug)",
+        help="daemon log level (default: info)",
     )
     servep.add_argument(
         "--log-file", default=None, metavar="PATH",
@@ -614,8 +610,6 @@ def main(argv: list[str] | None = None) -> int:
         help="driver kwargs as a JSON object, "
         "e.g. '{\"block_sizes\": [64, 256]}'",
     )
-    subp.add_argument("--priority", type=int, default=0,
-                      help="higher runs first (default: 0)")
     subp.add_argument("--trace", action="store_true",
                       help="capture a Perfetto trace artifact")
     subp.add_argument("--sample-interval", type=int, default=0, metavar="CYCLES")
@@ -626,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     subp.add_argument("--check", default=None, metavar="C1,C2",
                       help="attach dynamic checkers (race,coherence,deadlock)")
     subp.add_argument("--wait", action="store_true",
-                      help="poll until the job finishes")
+                      help="follow the job until it finishes")
     subp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     subp.add_argument("--fetch-to", default=None, metavar="DIR",
                       help="after --wait, download every artifact here")
@@ -685,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
         return serve(
             host=args.host, port=args.port, store_dir=args.store,
             cache_dir=args.cache_dir, no_cache=args.no_cache,
-            workers=args.workers, jobs=args.jobs, verbose=args.verbose,
+            workers=args.workers, jobs=args.jobs,
             log_level=args.log_level, log_file=args.log_file,
             journal_path=args.journal,
         )

@@ -30,16 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
 
+from repro.fuzz.scenario import canonical, run_scenario
 from repro.perf import store
 
 CORPUS_DIR_ENV = "REPRO_FUZZ_CORPUS"
-
-
-def canonical(doc: Any) -> str:
-    """Canonical JSON: the byte identity used everywhere in fuzzing."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def entry_id(scenario: dict, signature: list[list[str]]) -> str:
@@ -113,7 +108,7 @@ def reproducer_artifacts(scenario: dict) -> dict[str, bytes]:
     under a tracing observation session and export the standard
     artifacts, so a bundle opens in Perfetto like any service run."""
     from repro.check import CheckReport
-    from repro.fuzz.scenario import run_scenario
+    from repro.experiments.spec import dump_json
     from repro.obs.export import build_perfetto, build_run_manifest
     from repro.obs.session import ObsConfig, session
 
@@ -141,10 +136,6 @@ def reproducer_artifacts(scenario: dict) -> dict[str, bytes]:
     )
     return {
         "result.json": canonical(result).encode() + b"\n",
-        "run.json": _dump(manifest),
-        "trace.json": _dump(build_perfetto(data["records"])),
+        "run.json": dump_json(manifest),
+        "trace.json": dump_json(build_perfetto(data["records"])),
     }
-
-
-def _dump(doc: Any) -> bytes:
-    return json.dumps(doc, indent=1, default=str).encode() + b"\n"

@@ -95,6 +95,7 @@ def run_scenario(scenario: dict) -> dict:
 
 
 def canonical(doc: Any) -> str:
+    """Canonical JSON: the byte identity used everywhere in fuzzing."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

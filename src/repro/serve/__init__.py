@@ -10,9 +10,10 @@ service:
   (``run.json``, report text, table rows, Perfetto trace) published
   atomically.
 * :mod:`repro.serve.orchestrator` — the **job orchestrator**: a
-  priority queue feeding worker threads, a per-job state machine
-  (queued → running → done/failed/cancelled), dedup against the run
-  store, and graceful shutdown that drains in-flight jobs.
+  FIFO queue feeding worker threads, a per-job state machine
+  (queued → running → done/failed/cancelled) folded from the job's
+  own events, dedup against the run store, and graceful shutdown that
+  drains in-flight jobs.
 * :mod:`repro.serve.journal` — the **job journal**: an append-only
   JSONL event log of every lifecycle transition, replayed on startup
   so queued jobs survive a daemon restart and any job's history can

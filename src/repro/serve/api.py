@@ -12,7 +12,7 @@ Routes::
     GET  /metrics                      Prometheus text exposition
     GET  /v1/metrics                   serve.* metrics snapshot (JSON)
     GET  /v1/jobs                      all jobs (newest last)
-    POST /v1/jobs                      submit {"spec": {...}, "priority": N}
+    POST /v1/jobs                      submit {"spec": {...}}
     GET  /v1/jobs/<id>                 one job
     GET  /v1/jobs/<id>/events          SSE live lifecycle/progress stream
     POST /v1/jobs/<id>/cancel          cancel (idempotent)
@@ -36,11 +36,7 @@ from typing import Any, Iterator
 
 from repro import __version__
 from repro.perf.store import objects
-from repro.serve.orchestrator import (  # noqa: F401 (STATES re-export)
-    STATES,
-    JobOrchestrator,
-    OrchestratorClosed,
-)
+from repro.serve.orchestrator import JobOrchestrator, OrchestratorClosed
 from repro.serve.store import ARTIFACT_TYPES, RunStore
 
 JSON_TYPE = "application/json"
@@ -78,13 +74,9 @@ def _error(status: int, message: str) -> Response:
 class ServeApp:
     """The service behind the REST surface."""
 
-    def __init__(
-        self,
-        orchestrator: JobOrchestrator,
-        store: RunStore,
-    ) -> None:
+    def __init__(self, orchestrator: JobOrchestrator) -> None:
         self.orchestrator = orchestrator
-        self.store = store
+        self.store: RunStore = orchestrator.store
         self.started = time.time()
 
     # -- handlers ------------------------------------------------------
@@ -143,9 +135,8 @@ class ServeApp:
         queue position while queued), then every event — started,
         per-sweep-point progress, terminal — as it lands."""
         orch = self.orchestrator
-        with orch._lock:
-            if orch.get(job_id) is None:
-                return _error(404, f"no job {job_id!r}")
+        if orch.get(job_id) is None:
+            return _error(404, f"no job {job_id!r}")
 
         def sse() -> Iterator[bytes]:
             for event in orch.stream_events(job_id, timeout=timeout):
@@ -160,12 +151,11 @@ class ServeApp:
     def submit(self, body: dict) -> Response:
         if not isinstance(body, dict):
             return _error(400, "request body must be a JSON object")
-        spec = body.get("spec")
-        priority = body.get("priority", 0)
-        if not isinstance(priority, int):
-            return _error(400, "'priority' must be an integer")
+        unknown = sorted(set(body) - {"spec"})
+        if unknown:
+            return _error(400, f"unknown request body keys: {unknown}")
         try:
-            job = self.orchestrator.submit(spec, priority=priority)
+            job = self.orchestrator.submit(body.get("spec"))
         except ValueError as exc:
             return _error(400, str(exc))
         except OrchestratorClosed as exc:

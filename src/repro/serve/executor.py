@@ -25,7 +25,6 @@ share point-level results.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import time
 from typing import Any, Callable
 
@@ -87,31 +86,28 @@ class ExperimentExecutor:
         from repro.perf.cache import code_fingerprint
 
         if isinstance(spec, dict) and "fuzz" in spec:
-            kwargs = self.resolve_fuzz(spec)
-            descriptor = repr((EXECUTOR_SCHEMA, "fuzz", sorted(kwargs.items())))
-            fingerprint = code_fingerprint("repro.fuzz.campaign")
-            payload = f"{descriptor}\n{fingerprint}\n"
-            return hashlib.sha256(payload.encode()).hexdigest()
+            exp_id, kwargs = "fuzz", self.resolve_fuzz(spec)
+            module, obs_key = "repro.fuzz.campaign", ""
+        else:
+            from repro.experiments import ALL_EXPERIMENTS, spec as specs
 
-        from repro.experiments import ALL_EXPERIMENTS, spec as specs
-
-        exp_id, kwargs, obs_cfg = specs.resolve(spec)
+            exp_id, kwargs, obs_cfg = specs.resolve(spec)
+            module, obs_key = ALL_EXPERIMENTS[exp_id].__module__, repr(obs_cfg)
         descriptor = repr((EXECUTOR_SCHEMA, exp_id, sorted(kwargs.items())))
-        fingerprint = code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__)
-        payload = f"{descriptor}\n{fingerprint}\n{obs_cfg!r}"
+        payload = f"{descriptor}\n{code_fingerprint(module)}\n{obs_key}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- execution -----------------------------------------------------
     def execute(
         self, spec: dict,
         should_cancel: Callable[[], bool] = lambda: False,
-        progress: Callable[[dict], None] | None = None,
+        progress: Callable[[dict], None] = lambda update: None,
         job_info: dict | None = None,
     ) -> tuple[dict, dict[str, bytes]]:
         """Run the experiment and build its artifacts; returns
         ``(meta, artifacts)`` for :meth:`RunStore.publish`.
 
-        ``progress`` (when given) receives aggregated sweep progress
+        ``progress`` receives aggregated sweep progress
         dicts — ``{"done", "total", "cache_hits", "point"}`` — once
         per completed sweep point, on this thread. The same per-point
         hook doubles as the cooperative cancellation probe, so a
@@ -132,9 +128,6 @@ class ExperimentExecutor:
         fn = ALL_EXPERIMENTS[exp_id]
         if should_cancel():
             raise JobCancelled()
-        run_kwargs = dict(kwargs)
-        if "jobs" in inspect.signature(fn).parameters:
-            run_kwargs["jobs"] = self.jobs
 
         # host-side sweep observer: aggregates per-sweep events into
         # job-level progress, records per-point wall times for the
@@ -160,24 +153,22 @@ class ExperimentExecutor:
                 # without advancing the point tally
                 if should_cancel():
                     raise JobCancelled()
-                if progress is not None:
-                    progress({
-                        **tally,
-                        "point": f"window {event['windows']} "
-                                 f"(shards {event['shards']}, "
-                                 f"cycle {event['min_now']})",
-                        "partition": {
-                            "windows": event["windows"],
-                            "shards": event["shards"],
-                            "min_now": event["min_now"],
-                            "max_now": event["max_now"],
-                        },
-                    })
+                progress({
+                    **tally,
+                    "point": f"window {event['windows']} "
+                             f"(shards {event['shards']}, "
+                             f"cycle {event['min_now']})",
+                    "partition": {
+                        "windows": event["windows"],
+                        "shards": event["shards"],
+                        "min_now": event["min_now"],
+                        "max_now": event["max_now"],
+                    },
+                })
                 return
             if should_cancel():
                 raise JobCancelled()
-            if progress is not None:
-                progress({**tally, "point": event.get("label")})
+            progress({**tally, "point": event.get("label")})
 
         t0 = time.time()
         t0_mono = time.monotonic()
@@ -188,7 +179,7 @@ class ExperimentExecutor:
             with obs_session(obs_cfg) as s, perf_progress.activate(
                 on_sweep_event
             ):
-                result = fn(**run_kwargs)
+                result = fn(**kwargs, jobs=self.jobs)
                 data = s.data()
         wall = time.time() - t0
         if should_cancel():
@@ -221,7 +212,7 @@ class ExperimentExecutor:
     def _execute_fuzz(
         self, spec: dict,
         should_cancel: Callable[[], bool],
-        progress: Callable[[dict], None] | None,
+        progress: Callable[[dict], None],
     ) -> tuple[dict, dict[str, bytes]]:
         """Run a fuzzing campaign as a daemon job. Campaign progress
         events fold into the job's SSE progress (seeds done / findings
@@ -244,12 +235,11 @@ class ExperimentExecutor:
         def on_fuzz_event(event: dict) -> None:
             if should_cancel():
                 raise JobCancelled()
-            if progress is not None:
-                progress({
-                    "done": event["done"], "total": event["total"],
-                    "findings": event["findings"],
-                    "point": f"fuzz:{event['phase']}",
-                })
+            progress({
+                "done": event["done"], "total": event["total"],
+                "findings": event["findings"],
+                "point": f"fuzz:{event['phase']}",
+            })
 
         t0 = time.time()
         report = run_campaign(
@@ -285,25 +275,27 @@ def _host_trace_events(
     (bounded by consecutive parent-side completion times).
 
     Timestamps are microseconds of *wall time since submission* on the
-    dedicated host process track; the sim-side tracks stay in
-    simulated cycles. One trace.json then shows daemon → orchestrator
-    → executor → sim-engine attribution in a single Perfetto load,
-    correlated by the trace id stamped on every host event.
+    dedicated host process track (since the run began, and with no
+    queued span, for a job submitted to an earlier daemon); the
+    sim-side tracks stay in simulated cycles. One trace.json then
+    shows daemon → orchestrator → executor → sim-engine attribution in
+    a single Perfetto load, correlated by the trace id stamped on
+    every host event.
     """
     from repro.obs.export import host_span_events
 
     info = job_info or {}
-    base = info.get("submitted_mono", t0_mono)
+    submitted, started = info.get("submitted_mono"), info.get("started_mono")
+    base = t0_mono if submitted is None else submitted
 
     def us(mono: float) -> int:
         return max(0, int((mono - base) * 1e6))
 
     spans: list[dict[str, Any]] = []
-    started_mono = info.get("started_mono")
-    if started_mono is not None:
+    if submitted is not None and started is not None:
         spans.append({
             "name": "job.queued", "tid": 0,
-            "ts0": us(base), "ts1": us(started_mono),
+            "ts0": us(submitted), "ts1": us(started),
         })
     spans.append({
         "name": f"job.execute:{exp_id}", "tid": 1,

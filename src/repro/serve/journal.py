@@ -1,29 +1,30 @@
 """The job event journal: append-only JSONL, observability artifact
 and durability mechanism in one.
 
-Every job lifecycle transition the orchestrator makes is appended as
-one JSON line *before* the daemon acts on it being durable:
+Every job lifecycle event the orchestrator folds into a job is
+appended as one JSON line *before* the daemon acts on it:
 
     {"t": "submitted", "wall": ..., "mono": ..., "job": "ab12...",
-     "key": "...", "spec": {...}, "priority": 0, "spec_hash": "...",
-     "trace_id": "..."}
+     "key": "...", "spec": {...}, "spec_hash": "..."}
     {"t": "started",  "wall": ..., "mono": ..., "job": "ab12..."}
     {"t": "progress", "wall": ..., "mono": ..., "job": "ab12...",
      "done": 3, "total": 8, "cache_hits": 1, "point": "fig8[3]"}
     {"t": "done" | "failed" | "cancelled" | "interrupted", ...}
 
 plus a ``daemon_start`` boundary marker per process so restarts are
-visible in the record. Two clocks ride every event: ``wall``
-(``time.time``, for humans and cross-host correlation) and ``mono``
-(``time.monotonic``, for durations that survive NTP steps). Within
-one daemon process the two share an epoch pair, so queue/run latency
-is exact; across restarts only ``wall`` is comparable.
+visible in the record. A dedup hit's ``done`` event carries
+``"dedup": true``, a failure's its ``error``. Two clocks ride every
+event: ``wall`` (``time.time``, for humans and cross-host
+correlation) and ``mono`` (``time.monotonic``, for durations that
+survive NTP steps). Within one daemon process the two share an epoch
+pair, so queue/run latency is exact; across restarts only ``wall`` is
+comparable.
 
-**Replay** (:meth:`JobJournal.reconstruct`) folds the event stream
-into the last-known state of every job, which is how the orchestrator
-survives a restart: jobs whose final event leaves them ``queued`` are
-re-queued (original priority, original submission order within a
-priority band), jobs that were ``running`` when the daemon died are
+**Replay** (:func:`repro.serve.orchestrator.replay`) folds the event
+stream through ``Job.apply``, the same transition function the live
+daemon uses, which is how the orchestrator survives a restart: jobs
+whose events leave them ``queued`` are re-queued in original
+submission order, jobs that were ``running`` when the daemon died are
 marked ``interrupted`` (state ``failed``, the spec preserved so a
 resubmission retries), and terminal jobs are re-registered so their
 ids — and their run-store keys — keep answering ``GET /v1/jobs/<id>``
@@ -31,7 +32,8 @@ and artifact fetches after the restart.
 
 The journal is the source of truth for "what happened": a job's full
 lifecycle (submit → queue → per-sweep-point progress → done) is
-reconstructable from this file alone, with no daemon running.
+reconstructable from this file alone, with no daemon running
+(:meth:`JobJournal.reconstruct`).
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ JOURNAL_NAME = "journal.jsonl"
 
 #: journal line schema version (bump on incompatible event changes)
 JOURNAL_SCHEMA = 1
-
-#: event types that mark a job terminal in replay
-TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled", "interrupted"})
 
 
 def spec_hash(spec: Any) -> str:
@@ -83,11 +82,11 @@ class JobJournal:
             self._fh = open(self.path, "a", encoding="utf-8")
         return self._fh
 
-    def record(self, event_type: str, **fields: Any) -> dict[str, Any]:
-        """Append one event (stamped with wall + monotonic clocks);
-        returns the event as written."""
+    def record(self, t: str, **fields: Any) -> None:
+        """Append one event, stamped with wall + monotonic clocks
+        unless ``fields`` carries its own."""
         event = {
-            "t": event_type,
+            "t": t,
             "wall": time.time(),
             "mono": time.monotonic(),
             **fields,
@@ -97,11 +96,10 @@ class JobJournal:
             fh = self._handle()
             fh.write(line + "\n")
             fh.flush()
-        return event
 
-    def mark_daemon_start(self) -> dict[str, Any]:
+    def mark_daemon_start(self) -> None:
         """The per-process boundary marker (schema, pid)."""
-        return self.record(
+        self.record(
             "daemon_start", schema=JOURNAL_SCHEMA, pid=os.getpid()
         )
 
@@ -129,57 +127,13 @@ class JobJournal:
                     yield event
 
     def reconstruct(self) -> dict[str, dict[str, Any]]:
-        """Fold the journal into per-job last-known state.
+        """Every journaled job's status dict (``Job.as_dict``), folded
+        by the replay the daemon recovers with, in first-submission
+        order. A job that was running when its daemon died stays
+        ``running`` until a daemon recovers it."""
+        from repro.serve.orchestrator import replay
 
-        Returns ``{job_id: record}`` in first-submission order, where
-        each record carries ``state`` (a journal event type:
-        ``submitted``/``started``/``progress`` collapse to the
-        lifecycle position; terminal events stick), the submission
-        fields (``spec``, ``key``, ``priority``, ``trace_id``), the
-        event timestamps, and the last ``progress`` payload seen.
-        """
-        jobs: dict[str, dict[str, Any]] = {}
-        for event in self.replay():
-            job_id = event.get("job")
-            if job_id is None:
-                continue  # daemon_start and other markers
-            t = event["t"]
-            if t == "submitted":
-                jobs[job_id] = {
-                    "job": job_id,
-                    "state": "queued",
-                    "spec": event.get("spec"),
-                    "key": event.get("key"),
-                    "priority": event.get("priority", 0),
-                    "trace_id": event.get("trace_id", job_id),
-                    "dedup": bool(event.get("dedup")),
-                    "submitted_wall": event["wall"],
-                    "submitted_mono": event["mono"],
-                    "progress": None,
-                    "error": None,
-                }
-                continue
-            rec = jobs.get(job_id)
-            if rec is None:
-                continue  # event for a job submitted before this file
-            if t == "started":
-                rec["state"] = "running"
-                rec["started_wall"] = event["wall"]
-                rec["started_mono"] = event["mono"]
-            elif t == "progress":
-                rec["progress"] = {
-                    k: event[k]
-                    for k in ("done", "total", "cache_hits", "point")
-                    if k in event
-                }
-            elif t in TERMINAL_EVENTS:
-                rec["state"] = "failed" if t == "interrupted" else t
-                rec["finished_wall"] = event["wall"]
-                rec["finished_mono"] = event["mono"]
-                rec["error"] = event.get("error")
-                if t == "interrupted":
-                    rec["interrupted"] = True
-        return jobs
+        return {job_id: job.as_dict() for job_id, job in replay(self).items()}
 
 
 def default_journal_path(store_root: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""The job orchestrator: priority queue, state machine, dedup, drain.
+"""The job orchestrator: FIFO queue, state machine, dedup, drain.
 
 Jobs move through a strict state machine::
 
@@ -6,14 +6,16 @@ Jobs move through a strict state machine::
        │                  │   └──► failed
        └──► cancelled ◄───┘
 
+A job is the fold of its own lifecycle events through
+:meth:`Job.apply`, live (:meth:`JobOrchestrator._emit`) or replayed
+from the journal (:func:`replay`).
+
 * **Submission** first consults the run store: if the job's key is
   already published, the job is born ``done`` with ``dedup=True`` —
   it never touches the queue or the worker pool (the acceptance
   contract: a resubmitted sweep costs a directory read, not a
   recompute).
-* **Priority**: higher ``priority`` runs first; ties run in
-  submission order (a monotone sequence number keeps the heap
-  deterministic and starvation-free within a priority band).
+* **Order**: jobs start in submission order, from one FIFO queue.
 * **Cancellation** of a queued job is immediate. Cancellation of a
   running job is cooperative: the worker's ``should_cancel`` probe is
   checked by the executor between phases, and a cancel that lands too
@@ -25,14 +27,14 @@ Jobs move through a strict state machine::
   path, so a busy service never tears a half-run experiment down.
 
 * **Durability + observability** ride one mechanism: every lifecycle
-  transition is appended to the :class:`~repro.serve.journal.JobJournal`
-  (when one is attached) *and* to the job's in-memory event list that
+  event is appended to the :class:`~repro.serve.journal.JobJournal`
+  (when one is attached) *and* to the job's event list that
   :meth:`JobOrchestrator.stream_events` serves live to SSE clients.
   On startup :meth:`JobOrchestrator.recover` replays the journal:
-  queued jobs are re-queued (priority order preserved), jobs that
-  were running when the daemon died are marked interrupted, terminal
-  jobs are re-registered so their ids keep answering status and
-  artifact requests.
+  queued jobs are re-queued in submission order, jobs that were
+  running when the daemon died are marked interrupted, terminal jobs
+  are re-registered so their ids keep answering status and artifact
+  requests, and each keeps its journaled events.
 
 Workers are threads, not processes: one experiment's sweep points
 already fan out over the shared ``repro.perf`` process pool when the
@@ -45,13 +47,15 @@ observation, and progress contexts independent.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import traceback
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol
+
+from repro.serve.journal import spec_hash
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -61,6 +65,19 @@ CANCELLED = "cancelled"
 
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL = frozenset({DONE, FAILED, CANCELLED})
+
+#: lifecycle event -> (the state it leaves a job in, the stamp it sets)
+_TRANSITIONS = {
+    "submitted": (QUEUED, "submitted"),
+    "started": (RUNNING, "started"),
+    DONE: (DONE, "finished"),
+    FAILED: (FAILED, "finished"),
+    CANCELLED: (CANCELLED, "finished"),
+    "interrupted": (FAILED, "finished"),
+}
+
+#: event keys that stamp an event rather than carry its payload
+_STAMPS = ("t", "wall", "mono", "job")
 
 
 class JobCancelled(Exception):
@@ -83,80 +100,105 @@ class Executor(Protocol):  # pragma: no cover - typing only
 
 @dataclass
 class Job:
-    """One submission and its lifecycle.
+    """One submission: the fold of its lifecycle events.
 
-    Two clocks per transition: ``*_at`` wall-clock epochs (humans,
-    cross-host correlation) and ``*_mono`` monotonic stamps (duration
-    arithmetic that survives NTP steps). ``created``/``started``/
-    ``finished`` remain as wall-clock aliases for older clients."""
+    ``*_at`` are wall-clock epochs (humans, cross-host correlation).
+    Durations come from monotonic stamps, so they survive NTP steps;
+    another process's monotonic clock does not compare with this
+    one's, so a duration is None unless this process stamped both of
+    its ends."""
 
     id: str
     spec: dict
     key: str
-    priority: int
     state: str = QUEUED
-    created: float = field(default_factory=time.time)
-    created_mono: float = field(default_factory=time.monotonic)
-    started: float | None = None
-    started_mono: float | None = None
-    finished: float | None = None
-    finished_mono: float | None = None
+    submitted_at: float | None = None
+    started_at: float | None = None
+    finished_at: float | None = None
     error: str | None = None
     #: answered from the run store without dispatching any work
     dedup: bool = False
-    #: correlation id carried into journal events and the Perfetto
-    #: trace (host spans and sim spans land under one trace)
-    trace_id: str = ""
     #: live sweep progress: done / total / cache_hits / point
     progress: dict[str, Any] | None = None
     #: recovered from a journal after a daemon restart
     recovered: bool = False
-    #: append-only lifecycle event log (what stream_events serves)
+    #: every event folded so far, as journaled (what stream_events serves)
     events: list = field(default_factory=list, repr=False)
+    #: this process's monotonic stamps: submitted / started / finished
+    mono: dict[str, float] = field(default_factory=dict, repr=False)
     cancel_event: threading.Event = field(
         default_factory=threading.Event, repr=False
     )
 
-    def __post_init__(self) -> None:
-        if not self.trace_id:
-            self.trace_id = self.id
+    def apply(self, event: dict[str, Any]) -> None:
+        """The one transition function: fold one lifecycle event (a
+        journal record: ``t``, ``wall``, ``mono`` when this process
+        stamped it, then its payload) into this job."""
+        t = event["t"]
+        if t == "progress":
+            self.progress = {
+                k: v for k, v in event.items() if k not in _STAMPS
+            }
+        else:
+            self.state, stamp = _TRANSITIONS[t]
+            setattr(self, f"{stamp}_at", event["wall"])
+            if "mono" in event:
+                self.mono[stamp] = event["mono"]
+            if stamp == "finished":
+                self.error = event.get("error")
+                self.dedup = bool(event.get("dedup"))
+        self.events.append(event)
+
+    def _seconds(self, start: str, end: str) -> float | None:
+        if start in self.mono and end in self.mono:
+            return self.mono[end] - self.mono[start]
+        return None
 
     def queue_seconds(self) -> float | None:
-        """Submission → start latency (monotonic; None while queued)."""
-        if self.started_mono is None:
-            return None
-        return self.started_mono - self.created_mono
+        """Submission → start latency (None while queued)."""
+        return self._seconds("submitted", "started")
 
     def run_seconds(self) -> float | None:
-        """Start → finish latency (monotonic; None until terminal)."""
-        if self.started_mono is None or self.finished_mono is None:
-            return None
-        return self.finished_mono - self.started_mono
+        """Start → finish latency (None until terminal)."""
+        return self._seconds("started", "finished")
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "id": self.id,
             "key": self.key,
             "spec": self.spec,
-            "priority": self.priority,
             "state": self.state,
-            "created": self.created,
-            "started": self.started,
-            "finished": self.finished,
-            "submitted_at": self.created,
-            "submitted_mono": self.created_mono,
-            "started_at": self.started,
-            "started_mono": self.started_mono,
-            "finished_at": self.finished,
-            "finished_mono": self.finished_mono,
+            "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
             "queue_seconds": self.queue_seconds(),
             "run_seconds": self.run_seconds(),
             "error": self.error,
             "dedup": self.dedup,
-            "trace_id": self.trace_id,
+            # the Perfetto trace of a job is correlated by its id
+            "trace_id": self.id,
             "progress": dict(self.progress) if self.progress else None,
             "recovered": self.recovered,
         }
+
+
+def replay(journal: Any) -> dict[str, Job]:
+    """Fold a journal's events into jobs through :meth:`Job.apply`, in
+    first-submission order. A replayed event keeps its wall clock but
+    not its monotonic stamp, which another process took; events of
+    jobs submitted before the journal began are skipped."""
+    jobs: dict[str, Job] = {}
+    for event in journal.replay():
+        job_id = event.get("job")
+        if event["t"] == "submitted":
+            jobs[job_id] = Job(
+                id=job_id, spec=event.get("spec") or {},
+                key=event.get("key") or "", recovered=True,
+            )
+        if job_id in jobs:
+            event.pop("mono", None)
+            jobs[job_id].apply(event)
+    return jobs
 
 
 #: queue/run latency histogram bounds (seconds)
@@ -164,7 +206,7 @@ LATENCY_BOUNDS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 
 
 class JobOrchestrator:
-    """Priority-ordered job execution over a run store."""
+    """Job execution in submission order over a run store."""
 
     def __init__(
         self, executor: Executor, store: Any, workers: int = 1,
@@ -178,9 +220,10 @@ class JobOrchestrator:
         self.n_workers = max(1, int(workers))
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._heap: list[tuple[int, int, str]] = []
+        #: ids of the queued jobs, oldest first: exactly the jobs in
+        #: state queued
+        self._queue: deque[str] = deque()
         self._jobs: dict[str, Job] = {}
-        self._seq = itertools.count()
         self._threads: list[threading.Thread] = []
         self._stopping = False
         self.counters = {
@@ -202,15 +245,28 @@ class JobOrchestrator:
         )
 
     # -- events --------------------------------------------------------
-    def _emit(self, job: Job, event_type: str, **fields: Any) -> None:
-        """Append one lifecycle event to the job's live event log and
-        the journal (if attached), then wake streamers/waiters. Caller
-        must hold the condition lock."""
-        event = {"event": event_type, "wall": time.time(), **fields}
-        job.events.append(event)
-        if self.journal is not None:
-            self.journal.record(event_type, job=job.id, **fields)
-        self._cond.notify_all()
+    def _emit(self, job: Job, t: str, **fields: Any) -> None:
+        """The live transition: stamp one lifecycle event, fold it into
+        the job, journal it (if a journal is attached), count it, then
+        wake streamers/waiters. Takes the (re-entrant) condition lock."""
+        with self._cond:
+            event = {
+                "t": t, "wall": time.time(), "mono": time.monotonic(),
+                "job": job.id, **fields,
+            }
+            job.apply(event)
+            if self.journal is not None:
+                self.journal.record(**event)
+            # counters are named after the events they count, except
+            # that a done job was executed or answered by the store
+            counter = {DONE: "dedup_hits" if job.dedup else "executed"}.get(t, t)
+            if counter in self.counters:
+                self.counters[counter] += 1
+            if t == "started" and job.queue_seconds() is not None:
+                self.queue_latency.observe(job.queue_seconds())
+            elif t in TERMINAL and job.run_seconds() is not None:
+                self.run_latency.observe(job.run_seconds())
+            self._cond.notify_all()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -245,60 +301,35 @@ class JobOrchestrator:
             self._threads = []
 
     # -- submission / queries ------------------------------------------
-    def submit(self, spec: dict, priority: int = 0) -> Job:
+    def submit(self, spec: dict) -> Job:
         key = self.executor.key_for(spec)
         with self._cond:
             if self._stopping:
                 raise OrchestratorClosed("orchestrator is shutting down")
-            job = Job(
-                id=uuid.uuid4().hex[:12], spec=spec, key=key,
-                priority=int(priority),
-            )
-            self.counters["submitted"] += 1
+            job = Job(id=uuid.uuid4().hex[:12], spec=spec, key=key)
             self._jobs[job.id] = job
-            self._record_submitted(job)
+            self._emit(
+                job, "submitted", key=key, spec=spec, spec_hash=spec_hash(spec)
+            )
             if self.store.get(key) is not None:
                 # already materialized: answer from the store, never
                 # touching the queue or the worker pool
-                job.state = DONE
-                job.dedup = True
-                job.finished = job.created
-                job.finished_mono = job.created_mono
-                self.counters["dedup_hits"] += 1
                 self._emit(job, DONE, dedup=True)
             else:
-                self._enqueue(job)
+                # _emit's notify_all wakes a worker once the lock is free
+                self._queue.append(job.id)
             return job
-
-    def _record_submitted(self, job: Job) -> None:
-        from repro.serve.journal import spec_hash
-
-        self._emit(
-            job, "submitted", key=job.key, spec=job.spec,
-            priority=job.priority, trace_id=job.trace_id,
-            spec_hash=spec_hash(job.spec), dedup=job.dedup,
-            recovered=job.recovered,
-        )
-
-    def _enqueue(self, job: Job) -> None:
-        import heapq
-
-        heapq.heappush(
-            self._heap, (-job.priority, next(self._seq), job.id)
-        )
-        self._cond.notify()
 
     # -- restart recovery ----------------------------------------------
     def recover(self) -> dict[str, int]:
         """Replay the attached journal into this (fresh) orchestrator.
 
         * jobs whose last journaled state was **queued** are re-queued
-          with their original priority, in original submission order
-          within each priority band — a daemon restart loses no
-          accepted work;
-        * jobs that were **running** when the daemon died are marked
-          interrupted (state ``failed``, error says so) — their specs
-          are preserved, so resubmitting retries them;
+          in their original submission order — a daemon restart loses
+          no accepted work;
+        * jobs that were **running** when the daemon died get an
+          ``interrupted`` event (state ``failed``, error says so) —
+          their specs are preserved, so resubmitting retries them;
         * **terminal** jobs are re-registered in their final state so
           their ids keep answering status and artifact requests.
 
@@ -307,46 +338,25 @@ class JobOrchestrator:
         counts = {"requeued": 0, "interrupted": 0, "terminal": 0}
         if self.journal is None:
             return counts
-        records = self.journal.reconstruct()
+        jobs = replay(self.journal)
         self.journal.mark_daemon_start()
         with self._cond:
-            for rec in records.values():
-                job = Job(
-                    id=rec["job"],
-                    spec=rec.get("spec") or {},
-                    key=rec.get("key") or "",
-                    priority=int(rec.get("priority") or 0),
-                    created=rec.get("submitted_wall") or time.time(),
-                    trace_id=rec.get("trace_id") or rec["job"],
-                    dedup=bool(rec.get("dedup")),
-                    recovered=True,
-                )
-                job.started = rec.get("started_wall")
-                job.finished = rec.get("finished_wall")
-                job.progress = rec.get("progress")
-                job.error = rec.get("error")
-                state = rec["state"]
-                if state == QUEUED:
-                    job.state = QUEUED
+            for job in jobs.values():
+                self._jobs[job.id] = job
+                if job.state == QUEUED:
+                    self._queue.append(job.id)
                     self.counters["recovered"] += 1
-                    self._enqueue(job)
                     counts["requeued"] += 1
-                elif state == RUNNING:
+                elif job.state == RUNNING:
                     # the daemon died mid-run: the journal has no
                     # terminal event, so the run never published
-                    job.state = FAILED
-                    job.error = "interrupted by daemon restart"
-                    job.finished = time.time()
-                    self.counters["interrupted"] += 1
                     self._emit(
                         job, "interrupted",
                         error="interrupted by daemon restart",
                     )
                     counts["interrupted"] += 1
                 else:
-                    job.state = state
                     counts["terminal"] += 1
-                self._jobs[job.id] = job
         return counts
 
     def get(self, job_id: str) -> Job | None:
@@ -354,8 +364,9 @@ class JobOrchestrator:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
+        """Every job, in submission order."""
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.created)
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job. Queued → cancelled immediately; running →
@@ -367,10 +378,7 @@ class JobOrchestrator:
             if job is None:
                 raise KeyError(f"no job {job_id!r}")
             if job.state == QUEUED:
-                job.state = CANCELLED
-                job.finished = time.time()
-                job.finished_mono = time.monotonic()
-                self.counters["cancelled"] += 1
+                self._queue.remove(job.id)
                 self._emit(job, CANCELLED)
             elif job.state == RUNNING:
                 job.cancel_event.set()
@@ -394,24 +402,12 @@ class JobOrchestrator:
 
     # -- live event streaming ------------------------------------------
     def queue_position(self, job_id: str) -> int | None:
-        """1-based position of a queued job among queued jobs (heap
-        order: priority desc, then submission order); None when the
-        job is not queued."""
+        """1-based position of a queued job in the queue (the order
+        workers start jobs in); None when the job is not queued."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.state != QUEUED:
+            if job_id not in self._queue:
                 return None
-            queued = sorted(
-                (
-                    (-j.priority, j.created_mono, j.id)
-                    for j in self._jobs.values()
-                    if j.state == QUEUED
-                ),
-            )
-            for pos, (_, _, jid) in enumerate(queued, start=1):
-                if jid == job_id:
-                    return pos
-            return None  # pragma: no cover - state raced terminal
+            return self._queue.index(job_id) + 1
 
     def stream_events(
         self, job_id: str, poll: float = 0.5,
@@ -420,14 +416,15 @@ class JobOrchestrator:
         """Yield the job's lifecycle events live, in order.
 
         First yields a ``snapshot`` event (current job state + queue
-        position), then every event already logged, then new events as
-        they land; ends once the job is terminal (after yielding its
-        terminal event) or ``timeout`` seconds pass. ``poll`` bounds
-        how long a waiter sleeps between condition checks — streamers
-        are woken eagerly by ``_emit``, the poll is only a backstop.
-        A ``heartbeat`` event is injected when nothing has been
-        yielded for that many seconds (a deep-queued job would
-        otherwise starve SSE clients into read timeouts).
+        position), then every event already folded (a recovered job's
+        journaled history included), then new events as they land;
+        ends once the job is terminal (after yielding its terminal
+        event) or ``timeout`` seconds pass. ``poll`` bounds how long a
+        waiter sleeps between condition checks — streamers are woken
+        eagerly by ``_emit``, the poll is only a backstop. A
+        ``heartbeat`` event is injected when nothing has been yielded
+        for that many seconds (a deep-queued job would otherwise
+        starve SSE clients into read timeouts).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -464,7 +461,12 @@ class JobOrchestrator:
                     }
                 continue
             for event in events:
-                yield event
+                # SSE names the event type ``event``; the monotonic
+                # stamp and job id stay in the journal
+                yield {"event": event["t"], **{
+                    k: v for k, v in event.items()
+                    if k not in ("t", "mono", "job")
+                }}
             last_yield = time.monotonic()
             if terminal:
                 return
@@ -472,7 +474,7 @@ class JobOrchestrator:
     # -- introspection (the serve.* metrics read these) ----------------
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(1 for j in self._jobs.values() if j.state == QUEUED)
+            return len(self._queue)
 
     def jobs_by_state(self) -> dict[str, int]:
         """Job counts per state; every state key is present (all zero
@@ -514,49 +516,18 @@ class JobOrchestrator:
 
     # -- the worker loop -----------------------------------------------
     def _next_job(self) -> Job | None:
-        """Pop the highest-priority queued job; None = stop. Holds the
+        """Start the oldest queued job; None = stop. Holds the
         condition while waiting."""
-        import heapq
-
         with self._cond:
-            while True:
-                if self._stopping:
-                    # never *start* work while stopping — queued jobs
-                    # stay queued for a future restart
-                    return None
-                while self._heap:
-                    _, _, job_id = heapq.heappop(self._heap)
-                    job = self._jobs[job_id]
-                    if job.state == QUEUED:  # skip lazily-cancelled entries
-                        job.state = RUNNING
-                        job.started = time.time()
-                        job.started_mono = time.monotonic()
-                        self.queue_latency.observe(job.queue_seconds() or 0.0)
-                        self._emit(job, "started")
-                        return job
-                if self._stopping:
-                    return None
+            # never *start* work while stopping — queued jobs stay
+            # queued for a future restart
+            while not self._stopping:
+                if self._queue:
+                    job = self._jobs[self._queue.popleft()]
+                    self._emit(job, "started")
+                    return job
                 self._cond.wait()
-
-    def _finish(self, job: Job, state: str, error: str | None = None) -> None:
-        with self._cond:
-            job.state = state
-            job.error = error
-            job.finished = time.time()
-            job.finished_mono = time.monotonic()
-            counter = {DONE: "executed", FAILED: "failed", CANCELLED: "cancelled"}
-            self.counters[counter[state]] += 1
-            run_seconds = job.run_seconds()
-            if run_seconds is not None:
-                self.run_latency.observe(run_seconds)
-            self._emit(job, state, **({"error": error} if error else {}))
-
-    def _note_progress(self, job: Job, update: dict[str, Any]) -> None:
-        """Executor-side progress callback target: update the job's
-        live progress and fan the event out to streamers/journal."""
-        with self._cond:
-            job.progress = dict(update)
-            self._emit(job, "progress", **update)
+            return None
 
     def _worker(self) -> None:
         while True:
@@ -569,15 +540,13 @@ class JobOrchestrator:
                 meta, artifacts = self.executor.execute(
                     job.spec,
                     should_cancel=job.cancel_event.is_set,
-                    progress=lambda update, job=job: self._note_progress(
-                        job, update
+                    progress=lambda update, job=job: self._emit(
+                        job, "progress", **update
                     ),
                     job_info={
-                        "trace_id": job.trace_id,
-                        "job_id": job.id,
-                        "submitted_wall": job.created,
-                        "submitted_mono": job.created_mono,
-                        "started_mono": job.started_mono,
+                        "trace_id": job.id,
+                        "submitted_mono": job.mono.get("submitted"),
+                        "started_mono": job.mono.get("started"),
                     },
                 )
                 if job.cancel_event.is_set():
@@ -586,8 +555,8 @@ class JobOrchestrator:
                     raise JobCancelled()
                 self.store.publish(job.key, meta, artifacts)
             except JobCancelled:
-                self._finish(job, CANCELLED)
+                self._emit(job, CANCELLED)
             except Exception:
-                self._finish(job, FAILED, error=traceback.format_exc(limit=8))
+                self._emit(job, FAILED, error=traceback.format_exc(limit=8))
             else:
-                self._finish(job, DONE)
+                self._emit(job, DONE)

@@ -33,7 +33,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.serve.api import ServeApp
+from repro.serve.api import Response, ServeApp
 from repro.serve.executor import ExperimentExecutor
 from repro.serve.journal import JobJournal, default_journal_path
 from repro.serve.orchestrator import JobOrchestrator
@@ -89,38 +89,45 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
         t0 = time.perf_counter()
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            resp = None
-            body, status = b'{"error": "request body too large"}\n', 413
-            content_type = "application/json"
+        length = (self.headers.get("Content-Length") or "0").strip()
+        body = None
+        if "Transfer-Encoding" in self.headers:
+            resp = Response(411, {"error": "send the request body with "
+                                           "a Content-Length"})
+        elif not (length.isascii() and length.isdigit()):
+            resp = Response(400, {"error": "Content-Length must be a "
+                                           "non-negative integer"})
+        elif int(length) > MAX_BODY_BYTES:
+            resp = Response(413, {"error": "request body too large"})
         else:
-            resp = app.handle(
-                self.command, self.path, self.rfile.read(length)
-            )
-            body, status, content_type = resp.body, resp.status, resp.content_type
+            body = self.rfile.read(int(length))
+            resp = app.handle(self.command, self.path, body)
         try:
-            if resp is not None and resp.stream is not None:
-                status = self._send_stream(resp, status, content_type)
+            if resp.stream is not None:
+                self._send_stream(resp)
             else:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
+                self.send_response(resp.status)
+                self.send_header("Content-Type", resp.content_type)
+                self.send_header("Content-Length", str(len(resp.body)))
+                if body is None:
+                    # the body was not read, so the bytes after these
+                    # headers do not start the next request
+                    self.send_header("Connection", "close")
                 self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(resp.body)
         finally:
             logger.info(
                 "request method=%s path=%s status=%d duration_ms=%.1f",
-                self.command, self.path, status,
+                self.command, self.path, resp.status,
                 (time.perf_counter() - t0) * 1e3,
             )
 
-    def _send_stream(self, resp, status: int, content_type: str) -> int:
+    def _send_stream(self, resp: Response) -> None:
         """Send a streaming response chunk-by-chunk (HTTP/1.1 chunked
         transfer encoding), flushing each chunk so SSE clients see
         events live. A client hanging up just ends the stream."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_response(resp.status)
+        self.send_header("Content-Type", resp.content_type)
         self.send_header("Cache-Control", "no-store")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
@@ -136,7 +143,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
-        return status
 
     do_GET = do_POST = _respond
 
@@ -163,13 +169,11 @@ def build_app(
     workers: int = 1,
     jobs: int = 1,
     journal_path: str | None = None,
-    recover: bool = True,
 ) -> ServeApp:
     """Wire store + journal + cache + executor + orchestrator into one
     app (workers not yet started). The journal lives next to the run
-    store by default, is replayed here (``recover=True``) so queued
-    jobs from a previous daemon survive, and keeps appending for the
-    life of the app."""
+    store by default, is replayed here so queued jobs from a previous
+    daemon survive, and keeps appending for the life of the app."""
     from repro.perf.cache import RunCache
 
     store = RunStore(store_dir)
@@ -179,16 +183,15 @@ def build_app(
     orchestrator = JobOrchestrator(
         executor, store, workers=workers, journal=journal
     )
-    if recover:
-        recovered = orchestrator.recover()
-        if any(recovered.values()):
-            logger.info(
-                "journal recovery: %d re-queued, %d interrupted, "
-                "%d terminal re-registered",
-                recovered["requeued"], recovered["interrupted"],
-                recovered["terminal"],
-            )
-    return ServeApp(orchestrator, store)
+    recovered = orchestrator.recover()
+    if any(recovered.values()):
+        logger.info(
+            "journal recovery: %d re-queued, %d interrupted, "
+            "%d terminal re-registered",
+            recovered["requeued"], recovered["interrupted"],
+            recovered["terminal"],
+        )
+    return ServeApp(orchestrator)
 
 
 def serve(
@@ -199,15 +202,12 @@ def serve(
     no_cache: bool = False,
     workers: int = 1,
     jobs: int = 1,
-    verbose: bool = False,
-    log_level: str | None = None,
+    log_level: str = "info",
     log_file: str | None = None,
     journal_path: str | None = None,
 ) -> int:
     """Run the daemon until SIGINT/SIGTERM; returns an exit code."""
-    configure_logging(
-        log_level or ("debug" if verbose else "info"), log_file
-    )
+    configure_logging(log_level, log_file)
     app = build_app(
         store_dir=store_dir, cache_dir=cache_dir, no_cache=no_cache,
         workers=workers, jobs=jobs, journal_path=journal_path,

@@ -126,16 +126,17 @@ def test_job_line_includes_progress_and_run_seconds():
     from repro.cli import _job_line
 
     line = _job_line({
-        "id": "ab", "state": "running", "dedup": False, "priority": 0,
+        "id": "ab", "state": "running", "dedup": False,
         "key": "k" * 64, "run_seconds": None,
         "progress": {"done": 2, "total": 5},
     })
     assert "progress=2/5" in line
     line = _job_line({
-        "id": "ab", "state": "done", "dedup": False, "priority": 0,
+        "id": "ab", "state": "done", "dedup": False,
         "key": "k" * 64, "run_seconds": 1.5, "progress": None,
     })
     assert "wall=1.50s" in line
+    assert line.startswith("job ab state=done dedup=false wall=")
 
 
 def test_run_params_do_not_depend_on_jobs(tmp_path):

@@ -3,10 +3,11 @@ restart recovery.
 
 The acceptance contract under test: a daemon killed with jobs queued
 and running can be restarted on the same journal and (a) re-queues
-every accepted-but-unstarted job in priority order, (b) marks the job
-that was mid-run as interrupted, (c) keeps answering status for jobs
-that already finished — and a job's full lifecycle is reconstructable
-from the journal file alone, with no daemon running.
+every accepted-but-unstarted job in submission order, (b) marks the
+job that was mid-run as interrupted, (c) keeps answering status for
+jobs that already finished, with what the live daemon reported — and
+a job's full lifecycle is reconstructable from the journal file alone,
+with no daemon running.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import time
 
 import pytest
 
-from repro.serve.journal import (
-    TERMINAL_EVENTS,
-    JobJournal,
-    default_journal_path,
-    spec_hash,
-)
+from repro.serve.journal import JobJournal, default_journal_path, spec_hash
 from repro.serve.orchestrator import (
     DONE,
     FAILED,
@@ -122,6 +118,7 @@ class TestJournalPrimitives:
     def test_reconstruct_folds_lifecycle(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")
         journal.mark_daemon_start()  # markers must not confuse replay
+        # older journals carry priority and trace_id: replay ignores them
         journal.record(
             "submitted", job="a", key="ka", spec={"name": "a"},
             priority=5, trace_id="a",
@@ -139,20 +136,21 @@ class TestJournalPrimitives:
         assert jobs["a"]["progress"] == {
             "done": 1, "total": 2, "cache_hits": 1, "point": "a[0]",
         }
-        assert jobs["a"]["priority"] == 5
-        assert jobs["a"]["finished_wall"] >= jobs["a"]["submitted_wall"]
+        assert jobs["a"]["finished_at"] >= jobs["a"]["submitted_at"]
+        assert jobs["a"]["trace_id"] == "a"
         assert jobs["b"]["state"] == "queued"
 
     def test_reconstruct_marks_interrupted_as_failed(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")
         journal.record("submitted", job="a", key="ka", spec={})
         journal.record("started", job="a")
-        journal.record("interrupted", job="a", error="daemon restart")
+        journal.record(
+            "interrupted", job="a", error="interrupted by daemon restart"
+        )
         journal.close()
         rec = JobJournal(journal.path).reconstruct()["a"]
         assert rec["state"] == "failed"
-        assert rec["interrupted"] is True
-        assert "interrupted" in TERMINAL_EVENTS
+        assert "interrupted" in rec["error"]
 
     def test_default_journal_path_lives_with_the_store(self, tmp_path):
         assert default_journal_path(tmp_path) == tmp_path / "journal.jsonl"
@@ -177,9 +175,9 @@ class TestRestartRecovery:
         orch_a.start()
         stuck = orch_a.submit({"name": "stuck"})
         executor_a.started["stuck"].wait(5.0)
-        low = orch_a.submit({"name": "low"}, priority=0)
-        high = orch_a.submit({"name": "high"}, priority=5)
-        assert orch_a.get(low.id).state == QUEUED
+        first = orch_a.submit({"name": "first"})
+        second = orch_a.submit({"name": "second"})
+        assert orch_a.get(first.id).state == QUEUED
 
         # daemon #2 on the same journal — #1 is simply abandoned, as a
         # kill -9 would leave it (no terminal events were journaled)
@@ -199,15 +197,15 @@ class TestRestartRecovery:
         assert revived.recovered is True
         assert revived.spec == {"name": "stuck"}
 
-        # queued jobs survived with their priorities: high runs first
-        assert orch_b.get(low.id).state == QUEUED
-        assert orch_b.get(high.id).state == QUEUED
+        # queued jobs survived in submission order
+        assert orch_b.get(first.id).state == QUEUED
+        assert orch_b.get(second.id).state == QUEUED
         orch_b.start()
         _spin_until(lambda: len(executor_b.executed) == 2)
-        assert executor_b.executed == ["high", "low"]
-        orch_b.wait(low.id, timeout=10.0)
-        assert orch_b.get(high.id).state == DONE
-        assert store.get(orch_b.get(high.id).key) is not None
+        assert executor_b.executed == ["first", "second"]
+        orch_b.wait(second.id, timeout=10.0)
+        assert orch_b.get(first.id).state == DONE
+        assert store.get(orch_b.get(first.id).key) is not None
 
         # cleanup: unstick daemon #1's worker
         gate.set()
@@ -233,13 +231,68 @@ class TestRestartRecovery:
         revived = orch_b.get(job.id)
         assert revived.state == DONE
         assert revived.key == job.key
-        assert revived.trace_id == job.trace_id
+        assert revived.as_dict()["trace_id"] == job.id
         # ...and its artifacts are still fetchable through the store
         assert store.read_artifact(revived.key, "report.txt") == b"out j\n"
         # resubmission of the same work dedups against the store
         again = orch_b.submit({"name": "j"})
         assert again.dedup is True
         orch_b.shutdown(drain=False, timeout=10.0)
+
+    def test_replay_keeps_what_the_live_daemon_reported(self, tmp_path):
+        """A dedup hit's flag rides its ``done`` event, journaled after
+        ``submitted``: replay must read it from there."""
+        path = tmp_path / "journal.jsonl"
+        store = RunStore(tmp_path / "store")
+        orch_a = JobOrchestrator(
+            FakeExecutor(), store, workers=1, journal=JobJournal(path)
+        )
+        orch_a.start()
+        first = orch_a.submit({"name": "j"})
+        orch_a.wait(first.id, timeout=10.0)
+        hit = orch_a.submit({"name": "j"})
+        assert hit.dedup is True
+        orch_a.shutdown(drain=True, timeout=10.0)
+        orch_a.journal.close()
+
+        orch_b = JobOrchestrator(
+            FakeExecutor(), store, workers=1, journal=JobJournal(path)
+        )
+        orch_b.recover()
+        assert orch_b.get(hit.id).dedup is True
+        assert orch_b.get(first.id).dedup is False
+        records = JobJournal(path).reconstruct()
+        assert records[hit.id]["dedup"] is True
+        assert records[first.id]["dedup"] is False
+        for job in (first, hit):
+            live, replayed = job.as_dict(), orch_b.get(job.id).as_dict()
+            for key in ("state", "key", "spec", "submitted_at", "started_at",
+                        "finished_at", "error", "progress", "trace_id"):
+                assert replayed[key] == live[key], key
+
+    def test_recovered_job_streams_its_journaled_history(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        store = RunStore(tmp_path / "store")
+        orch_a = JobOrchestrator(
+            FakeExecutor(), store, workers=1, journal=JobJournal(path)
+        )
+        orch_a.start()
+        job = orch_a.submit({"name": "j"})
+        orch_a.wait(job.id, timeout=10.0)
+        orch_a.shutdown(drain=True, timeout=10.0)
+        orch_a.journal.close()
+        live = list(orch_a.stream_events(job.id, timeout=1.0))[1:]
+
+        orch_b = JobOrchestrator(
+            FakeExecutor(), store, workers=1, journal=JobJournal(path)
+        )
+        orch_b.recover()
+        events = list(orch_b.stream_events(job.id, poll=POLL, timeout=1.0))
+        assert [e["event"] for e in events] == [
+            "snapshot", "submitted", "started", "progress", "progress",
+            "done",
+        ]
+        assert events[1:] == live
 
     def test_lifecycle_reconstructable_from_journal_alone(self, tmp_path):
         """The journal file by itself — daemon gone — tells the whole
@@ -250,7 +303,7 @@ class TestRestartRecovery:
             journal=JobJournal(path),
         )
         orch.start()
-        job = orch.submit({"name": "j"}, priority=3)
+        job = orch.submit({"name": "j"})
         orch.wait(job.id, timeout=10.0)
         orch.shutdown(drain=True, timeout=10.0)
         orch.journal.close()
@@ -262,19 +315,14 @@ class TestRestartRecovery:
             "submitted", "started", "progress", "progress", "done",
         ]
         submitted = events[0]
-        assert submitted["priority"] == 3
+        assert submitted["job"] == job.id
         assert submitted["spec"] == {"name": "j"}
-        assert submitted["trace_id"] == job.id
         assert len(submitted["spec_hash"]) == 16
 
         rec = JobJournal(path).reconstruct()[job.id]
         assert rec["state"] == "done"
         assert rec["progress"]["done"] == rec["progress"]["total"] == 2
-        assert (
-            rec["submitted_mono"]
-            <= rec["started_mono"]
-            <= rec["finished_mono"]
-        )
+        assert rec["submitted_at"] <= rec["started_at"] <= rec["finished_at"]
 
     def test_recover_without_journal_is_a_noop(self, tmp_path):
         orch = JobOrchestrator(FakeExecutor(), RunStore(tmp_path / "s"))
@@ -331,13 +379,12 @@ class TestStreamEvents:
             FakeExecutor(), RunStore(tmp_path / "s"), workers=1
         )
         # workers never started: all three stay queued
-        orch.submit({"name": "a"}, priority=0)
-        orch.submit({"name": "b"}, priority=9)
-        third = orch.submit({"name": "c"}, priority=0)
+        orch.submit({"name": "a"})
+        orch.submit({"name": "b"})
+        third = orch.submit({"name": "c"})
         stream = orch.stream_events(third.id, timeout=0.1)
         snapshot = next(stream)
         assert snapshot["event"] == "snapshot"
-        # priority 9 is ahead; FIFO among the priority-0 pair
         assert snapshot["queue_position"] == 3
         assert snapshot["job"]["state"] == QUEUED
         stream.close()

@@ -1,8 +1,9 @@
 """Orchestrator lifecycle tests (ISSUE 6 satellite).
 
-Covered: priority ordering, cancellation of queued and of running
-jobs, dedup hit on resubmission (no re-execution), failure capture,
-and graceful shutdown with jobs in flight.
+Covered: FIFO ordering (live and after journal recovery),
+cancellation of queued and of running jobs, dedup hit on resubmission
+(no re-execution), failure capture, and graceful shutdown with jobs
+in flight.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import time
 
 import pytest
 
+from repro.serve.journal import JobJournal
 from repro.serve.orchestrator import (
     CANCELLED,
     DONE,
@@ -82,18 +84,44 @@ def rig(tmp_path):
     orch.shutdown(drain=False, timeout=10.0)
 
 
-class TestPriority:
-    def test_higher_priority_runs_first_ties_fifo(self, rig):
+class TestFifo:
+    def test_jobs_start_in_submission_order(self, rig):
         executor, _, orch = rig
-        # submit before starting workers so the queue order is decided
-        # purely by (priority, submission sequence)
-        orch.submit({"name": "low-a"}, priority=0)
-        orch.submit({"name": "high"}, priority=5)
-        orch.submit({"name": "low-b"}, priority=0)
-        orch.submit({"name": "mid"}, priority=3)
+        # submit before starting workers so every job waits in the queue
+        jobs = [orch.submit({"name": n}) for n in ("a", "b", "c", "d")]
+        orch.cancel(jobs[1].id)
+        assert [orch.queue_position(j.id) for j in jobs] == [1, None, 2, 3]
         orch.start()
-        _spin_until(lambda: len(executor.executed) == 4)
-        assert executor.executed == ["high", "mid", "low-a", "low-b"]
+        _spin_until(lambda: len(executor.executed) == 3)
+        # queue_position named the dispatch order
+        assert executor.executed == ["a", "c", "d"]
+
+    def test_recovered_jobs_keep_submission_order(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        store = RunStore(tmp_path / "store")
+        # daemon #1 never starts its workers: everything stays queued
+        orch_a = JobOrchestrator(
+            FakeExecutor(), store, workers=1, journal=JobJournal(path)
+        )
+        jobs = [orch_a.submit({"name": n}) for n in ("a", "b", "c", "d")]
+        orch_a.cancel(jobs[2].id)
+        orch_a.journal.close()
+
+        executor = FakeExecutor()
+        orch_b = JobOrchestrator(
+            executor, store, workers=1, journal=JobJournal(path)
+        )
+        assert orch_b.recover()["requeued"] == 3
+        positions = {j.id: orch_b.queue_position(j.id) for j in jobs}
+        assert positions == {
+            jobs[0].id: 1, jobs[1].id: 2, jobs[2].id: None, jobs[3].id: 3,
+        }
+        orch_b.start()
+        try:
+            _spin_until(lambda: len(executor.executed) == 3)
+        finally:
+            orch_b.shutdown(drain=False, timeout=10.0)
+        assert executor.executed == ["a", "b", "d"]
 
 
 class TestCancellation:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from urllib.parse import urlsplit
@@ -18,7 +19,7 @@ from repro.serve.api import ServeApp
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.executor import ExperimentExecutor
 from repro.serve.orchestrator import JobOrchestrator
-from repro.serve.server import ServeServer, build_app
+from repro.serve.server import MAX_BODY_BYTES, ServeServer, build_app
 from repro.serve.store import RunStore
 
 #: the smallest real experiment spec (2 sweep points)
@@ -104,8 +105,11 @@ class TestRouting:
         assert resp.status == 400
         assert "unknown experiment" in resp.json()["error"]
         assert app.handle("POST", "/v1/jobs", b"not json").status == 400
-        notint = json.dumps({"spec": TINY_SPEC, "priority": "high"}).encode()
-        assert app.handle("POST", "/v1/jobs", notint).status == 400
+        # the body holds the spec and nothing else
+        extra = json.dumps({"spec": TINY_SPEC, "priority": 0}).encode()
+        resp = app.handle("POST", "/v1/jobs", extra)
+        assert resp.status == 400
+        assert "priority" in resp.json()["error"]
 
     def test_handler_bug_is_500_not_crash(self, app):
         app.orchestrator.queue_depth = lambda: 1 / 0  # sabotage one metrics gauge
@@ -338,3 +342,69 @@ class TestEndToEnd:
         assert all(
             e["args"]["trace_id"] == job["trace_id"] for e in spans
         )
+
+
+# ----------------------------------------------------------------------
+# Malformed requests on a raw socket
+# ----------------------------------------------------------------------
+def _exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes; return everything the server sends back before
+    it closes the connection (a hang fails the 3 s socket timeout)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
+        sock.sendall(request)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # closed with the unread body still queued
+        return reply
+
+
+class TestMalformedContentLength:
+    """A body the server cannot read gets an error reply and a closed
+    connection, never a hang, a dropped request, or a misparse."""
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1e3"])
+    def test_bad_length_is_400_and_closes(self, service, length):
+        app, client = service
+        port = urlsplit(client.base_url).port
+        reply = _exchange(port, (
+            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode())
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert b"Content-Length must be" in reply
+
+    def test_oversized_body_is_413_and_nothing_after_it(self, service):
+        # the unread body must not be parsed as the next request: the
+        # connection ends after the 413, so the client knows to
+        # reconnect instead of waiting for an answer to its next request
+        app, client = service
+        port = urlsplit(client.base_url).port
+        reply = _exchange(port, (
+            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+            '{"spec": '
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        ).encode())
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_chunked_body_is_411_and_nothing_after_it(self, service):
+        # the body is not read, so its chunk framing must not be parsed
+        # as the next request either
+        app, client = service
+        port = urlsplit(client.base_url).port
+        body = json.dumps({"spec": TINY_SPEC})
+        reply = _exchange(port, (
+            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+            f"{len(body):x}\r\n{body}\r\n0\r\n\r\n"
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        ).encode())
+        assert reply.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
