@@ -7,7 +7,7 @@ checked invariants are the ones the protocol is supposed to maintain
 
 * **SWMR** — at most one node holds a line MODIFIED/EXCLUSIVE.
 * **directory entry consistency** — after every directory mutation
-  the entry satisfies :meth:`DirEntry.check` (UNOWNED ⇒ no sharers
+  the entry satisfies :meth:`DirEntry.well_formed` (UNOWNED ⇒ no sharers
   and no owner; SHARED ⇒ sharers non-empty, no owner; EXCLUSIVE ⇒
   owner set, no sharers). This stays true across LimitLESS pointer
   overflow: the software-extended sharer list obeys the same shape.
@@ -131,13 +131,7 @@ class CoherenceSanitizer:
         e = directory.peek(line)
         if e is None:  # pragma: no cover - mutators create the entry
             return
-        if e.state is DirState.UNOWNED:
-            bad = bool(e.sharers) or e.owner is not None
-        elif e.state is DirState.SHARED:
-            bad = not e.sharers or e.owner is not None
-        else:  # EXCLUSIVE
-            bad = e.owner is None or bool(e.sharers)
-        if bad:
+        if not e.well_formed():
             key = ("entry", home, line)
             if key in self._seen:
                 return

@@ -7,6 +7,12 @@ a *transaction*:
   requester --request--> home --[invalidate/forward legs]--> home
             <--data/ack reply--
 
+The home side is a transition table, ``MSI_TABLE`` or ``MESI_TABLE``
+(chosen by ``CoherenceParams.mesi``): one :class:`Row` per
+(:class:`Request`, :class:`Seen`) pair names the leg the home runs
+before it grants and the line state it grants.
+``CoherenceEngine._process`` is the table's one interpreter.
+
 Key modelling decisions (see DESIGN.md for rationale):
 
 * **Per-line serialization at the home.** The home directory processes
@@ -32,7 +38,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.memory.address import NODE_SHIFT, home_of
 from repro.memory.cache import Cache, LineState
@@ -65,6 +71,109 @@ class AccessKind(enum.Enum):
     READ = "read"
     WRITE = "write"
     PREFETCH = "prefetch"  # read-shared, non-binding, non-blocking
+
+
+class Request(enum.Enum):
+    """What a transaction asks of its line's home directory."""
+
+    # identity hash, as PacketKind: every transaction hashes one to
+    # look its table row up
+    __hash__ = object.__hash__
+
+    READ = enum.auto()       # a shared copy (loads and prefetches)
+    WRITE = enum.auto()      # an exclusive copy with the line's data
+    UPGRADE = enum.auto()    # SHARED -> MODIFIED without data
+    WRITEBACK = enum.auto()  # an evicted MODIFIED line comes home
+
+
+class Seen(enum.Enum):
+    """A directory entry as the node that sent the request sees it."""
+
+    __hash__ = object.__hash__
+
+    UNOWNED = enum.auto()
+    SHARED = enum.auto()      # sharers; the node is not one of them
+    SHARER = enum.auto()      # the node is one of the sharers
+    OWNED = enum.auto()       # EXCLUSIVE at a third node
+    HOME_OWNED = enum.auto()  # EXCLUSIVE in the home node's own cache
+    #: EXCLUSIVE at the node itself. Stale: its eviction writeback is
+    #: still queued, or (MESI) its clean copy was dropped silently.
+    SELF_OWNED = enum.auto()
+
+
+class Leg(enum.Enum):
+    """What the home does between reading the entry and granting."""
+
+    NONE = enum.auto()        # grant at once
+    INVALIDATE = enum.auto()  # invalidate the other sharers; grant on the last ack
+    FORWARD = enum.auto()     # the remote owner gives the line up; grant on its ack
+    OWN_COPY = enum.auto()    # the home's own cache gives the line up; grant
+    FORGET = enum.auto()      # forget the node's copy (Directory.forget)
+
+
+class Row(NamedTuple):
+    """One transition of the home side."""
+
+    leg: Leg
+    #: line state the requester's fill installs; None sends no reply
+    grant: LineState | None = None
+    #: read the entry again and run this request's row instead
+    then: Request | None = None
+
+
+#: The home side of the MSI protocol, one row per (request, entry).
+MSI_TABLE: dict[tuple[Request, Seen], Row] = {
+    (Request.READ, Seen.UNOWNED): Row(Leg.NONE, LineState.SHARED),
+    (Request.READ, Seen.SHARED): Row(Leg.NONE, LineState.SHARED),
+    # its copy was evicted silently; the sharer set still names it
+    (Request.READ, Seen.SHARER): Row(Leg.NONE, LineState.SHARED),
+    (Request.READ, Seen.OWNED): Row(Leg.FORWARD, LineState.SHARED),
+    (Request.READ, Seen.HOME_OWNED): Row(Leg.OWN_COPY, LineState.SHARED),
+    # the data is safe in the backing store: serve it as UNOWNED
+    (Request.READ, Seen.SELF_OWNED): Row(Leg.FORGET, then=Request.READ),
+    # no other sharer to invalidate: the leg grants at once
+    (Request.WRITE, Seen.UNOWNED): Row(Leg.INVALIDATE, LineState.MODIFIED),
+    (Request.WRITE, Seen.SHARED): Row(Leg.INVALIDATE, LineState.MODIFIED),
+    (Request.WRITE, Seen.SHARER): Row(Leg.INVALIDATE, LineState.MODIFIED),
+    (Request.WRITE, Seen.OWNED): Row(Leg.FORWARD, LineState.MODIFIED),
+    (Request.WRITE, Seen.HOME_OWNED): Row(Leg.OWN_COPY, LineState.MODIFIED),
+    (Request.WRITE, Seen.SELF_OWNED): Row(Leg.FORGET, then=Request.WRITE),
+    # an upgrade whose SHARED copy an earlier-queued writer took away
+    # becomes a full write
+    (Request.UPGRADE, Seen.UNOWNED): Row(Leg.NONE, then=Request.WRITE),
+    (Request.UPGRADE, Seen.SHARED): Row(Leg.NONE, then=Request.WRITE),
+    (Request.UPGRADE, Seen.SHARER): Row(Leg.INVALIDATE, LineState.MODIFIED),
+    (Request.UPGRADE, Seen.OWNED): Row(Leg.NONE, then=Request.WRITE),
+    (Request.UPGRADE, Seen.HOME_OWNED): Row(Leg.NONE, then=Request.WRITE),
+    (Request.UPGRADE, Seen.SELF_OWNED): Row(Leg.NONE, then=Request.WRITE),
+    # normally SELF_OWNED; otherwise a later transaction already took
+    # the line, and at most a stale sharer bit is left to drop
+    (Request.WRITEBACK, Seen.UNOWNED): Row(Leg.FORGET),
+    (Request.WRITEBACK, Seen.SHARED): Row(Leg.FORGET),
+    (Request.WRITEBACK, Seen.SHARER): Row(Leg.FORGET),
+    (Request.WRITEBACK, Seen.OWNED): Row(Leg.FORGET),
+    (Request.WRITEBACK, Seen.HOME_OWNED): Row(Leg.FORGET),
+    (Request.WRITEBACK, Seen.SELF_OWNED): Row(Leg.FORGET),
+}
+
+#: MESI differs in one row: a sole reader fills EXCLUSIVE-clean, so
+#: its later store upgrades silently (no second transaction).
+MESI_TABLE: dict[tuple[Request, Seen], Row] = {
+    **MSI_TABLE,
+    (Request.READ, Seen.UNOWNED): Row(Leg.NONE, LineState.EXCLUSIVE),
+}
+
+# prebound members for the interpreter, which runs once per transaction
+_DS_UNOWNED, _DS_SHARED = DirState.UNOWNED, DirState.SHARED
+_LS_SHARED = LineState.SHARED
+_SEEN_UNOWNED, _SEEN_SHARED, _SEEN_SHARER = (
+    Seen.UNOWNED, Seen.SHARED, Seen.SHARER)
+_SEEN_OWNED, _SEEN_HOME_OWNED, _SEEN_SELF_OWNED = (
+    Seen.OWNED, Seen.HOME_OWNED, Seen.SELF_OWNED)
+_LEG_NONE, _LEG_INVALIDATE, _LEG_OWN_COPY, _LEG_FORGET = (
+    Leg.NONE, Leg.INVALIDATE, Leg.OWN_COPY, Leg.FORGET)
+_RQ_READ, _RQ_WRITE, _RQ_UPGRADE, _RQ_WRITEBACK = (
+    Request.READ, Request.WRITE, Request.UPGRADE, Request.WRITEBACK)
 
 
 @dataclass
@@ -123,15 +232,9 @@ class _Txn:
     memory part of the simulator's hot path.
     """
 
-    __slots__ = ("node", "line", "kind", "is_prefetch", "waiters",
-                 "post_fill", "reply_in_flight")
+    __slots__ = ("is_prefetch", "waiters", "post_fill", "reply_in_flight")
 
-    def __init__(
-        self, node: int, line: int, kind: AccessKind, is_prefetch: bool = False
-    ) -> None:
-        self.node = node
-        self.line = line
-        self.kind = kind
+    def __init__(self, is_prefetch: bool = False) -> None:
         self.is_prefetch = is_prefetch
         #: (kind, on_done) pairs released when the fill lands
         self.waiters: list[tuple[AccessKind, OnDone]] = []
@@ -151,19 +254,12 @@ class _HomeReq:
     """A transaction as seen by the home directory (slotted; one per
     request reaching a home node)."""
 
-    __slots__ = ("kind", "node", "line", "was_modified")
+    __slots__ = ("kind", "node", "line")
 
-    def __init__(
-        self,
-        kind: "AccessKind | str",  # AccessKind, "upgrade", or "writeback"
-        node: int,
-        line: int,
-        was_modified: bool = False,  # writebacks: evictor held it MODIFIED
-    ) -> None:
+    def __init__(self, kind: Request, node: int, line: int) -> None:
         self.kind = kind
         self.node = node
         self.line = line
-        self.was_modified = was_modified
 
 
 class _Fill:
@@ -224,6 +320,8 @@ class CoherenceEngine:
         self.line_size = line_size
         self._line_mask = ~(line_size - 1)  # inline line_of on the hot path
         self.p = params or CoherenceParams()
+        #: the home side's transition table (see MSI_TABLE)
+        self.table = MESI_TABLE if self.p.mesi else MSI_TABLE
         self.caches: dict[int, Cache] = {}
         self.dirs: dict[int, Directory] = {}
         self.ports: dict[int, Resource] = {}
@@ -329,34 +427,29 @@ class CoherenceEngine:
     def _start_txn(
         self, node: int, line: int, kind: AccessKind, is_prefetch: bool = False
     ) -> _Txn:
-        txn = _Txn(node, line, kind, is_prefetch)
+        txn = _Txn(is_prefetch)
         self._mshr[node][line] = txn
         self.stats.transactions += 1
-        upgrade = (
-            kind is AccessKind.WRITE
-            and self.p.upgrade_optimization
-            and self.caches[node].state(line) is LineState.SHARED
-        )
         if kind is AccessKind.READ:
             self.stats.read_misses += 1
-        elif upgrade:
+            request, pk = _RQ_READ, _PK_READ_REQ
+        elif (
+            self.p.upgrade_optimization
+            and self.caches[node].state(line) is LineState.SHARED
+        ):
             self.stats.upgrades += 1
+            request, pk = _RQ_UPGRADE, _PK_UPGRADE_REQ
         else:
             self.stats.write_misses += 1
+            request, pk = _RQ_WRITE, _PK_WRITE_REQ
         home = line >> NODE_SHIFT  # home_of, inlined
-        req = _HomeReq("upgrade" if upgrade else kind, node, line)
+        req = _HomeReq(request, node, line)
         if home == node:
             self.stats.local_transactions += 1
             self.sim.call_after(
                 self.p.request_issue, lambda: self._home_enqueue(home, req)
             )
         else:
-            if upgrade:
-                pk = PacketKind.COH_UPGRADE_REQ
-            elif kind is AccessKind.READ:
-                pk = PacketKind.COH_READ_REQ
-            else:
-                pk = PacketKind.COH_WRITE_REQ
             self._send(node, home, pk, self.p.req_words, req)
         return txn
 
@@ -375,9 +468,8 @@ class CoherenceEngine:
         if kind is _PK_DATA_REPLY or kind is _PK_ACK_REPLY or kind is _PK_INV_ACK:
             # continuation-style payloads: a callable to invoke on arrival
             packet.payload()
-        elif kind is _PK_READ_REQ or kind is _PK_WRITE_REQ or kind is _PK_UPGRADE_REQ:
-            self._home_enqueue(packet.dst, packet.payload)
-        elif kind is _PK_WRITEBACK:
+        elif (kind is _PK_READ_REQ or kind is _PK_WRITE_REQ
+              or kind is _PK_UPGRADE_REQ or kind is _PK_WRITEBACK):
             self._home_enqueue(packet.dst, packet.payload)
         elif kind is _PK_INVALIDATE:
             self._on_invalidate(packet)
@@ -409,38 +501,76 @@ class CoherenceEngine:
             self._line_busy.discard(key)
 
     def _process(self, home: int, req: _HomeReq) -> None:
-        kind = req.kind
-        if kind is AccessKind.READ:
-            self._process_read(home, req)
-        elif kind is AccessKind.WRITE:
-            self._process_write(home, req)
-        elif kind == "writeback":
-            self._process_writeback(home, req)
-        elif kind == "upgrade":
-            self._process_upgrade(home, req)
-        else:  # pragma: no cover
-            raise SimulationError(f"bad home request {req!r}")
-
-    def _process_upgrade(self, home: int, req: _HomeReq) -> None:
-        """Ownership upgrade without data (only with the optimization on).
-
-        If the requester lost its SHARED copy in the meantime (an
-        earlier-queued writer invalidated it), fall back to a full
-        write transaction.
-        """
-        line, requester = req.line, req.node
+        """Run one transaction at its line's home: read the directory
+        entry, see it as the requester does, look the row up in
+        ``self.table`` and run the row's leg."""
+        line, node, kind = req.line, req.node, req.kind
         d = self.dirs[home]
-        entry = d.entry(line)
-        if entry.state is not DirState.SHARED or requester not in entry.sharers:
-            self._process_write(home, _HomeReq(AccessKind.WRITE, requester, line))
+        table = self.table
+        while True:
+            entry = d.entry(line)
+            state = entry.state
+            if state is _DS_UNOWNED:
+                seen = _SEEN_UNOWNED
+            elif state is _DS_SHARED:
+                seen = _SEEN_SHARER if node in entry.sharers else _SEEN_SHARED
+            elif entry.owner == node:
+                seen = _SEEN_SELF_OWNED
+            elif entry.owner == home:
+                seen = _SEEN_HOME_OWNED
+            else:
+                seen = _SEEN_OWNED
+            leg, grant, then = table[kind, seen]
+            if leg is _LEG_FORGET:
+                d.forget(line, node, entry)
+            if then is None:
+                break
+            kind = then
+
+        if kind is _RQ_WRITEBACK:
+            # carries the line's data, but pays neither the LimitLESS
+            # trap nor the local discount
+            self.stats.writebacks += 1
+            self._occupy(home, False, with_data=True)
+            self._line_release(home, line)
             return
-        ready = self._occupy(home, len(entry.sharers) > d.hw_pointers, with_data=False, requester=requester)
-        invs = d.sharers_to_invalidate(line, excluding=requester)
+        data = kind is not _RQ_UPGRADE
+        ready = self._occupy(home, d.overflowed(entry), data, node)
+        if leg is _LEG_NONE:
+            self._grant(home, node, line, grant, ready, data)
+        elif leg is _LEG_INVALIDATE:
+            self._invalidate_sharers(home, node, line, grant, ready, data)
+        else:  # FORWARD or OWN_COPY: the owner gives the line up
+            owner = entry.owner
+            self.stats.forwards += 1
+            d.stats.forwards += 1
+
+            def written_back(earliest: int | None = None) -> None:
+                at = self.ports[home].acquire(self.p.home_data_occupancy, earliest)
+                self._grant(home, node, line, grant, at, True, owner)
+
+            if leg is _LEG_OWN_COPY:
+                self._apply_or_defer(
+                    home, line, lambda: self._give_up(home, line, grant)
+                )
+                written_back(ready)
+            else:
+                self.sim.call_at(
+                    ready,
+                    lambda: self._send(
+                        home, owner, _PK_FORWARD, self.p.inv_words,
+                        (grant, line, home, written_back),
+                    ),
+                )
+
+    def _invalidate_sharers(self, home: int, node: int, line: int,
+                            grant: LineState, ready: int, data: bool) -> None:
+        """Invalidate every sharer but ``node``, collect the acks at the
+        home, then grant ``node`` exclusivity."""
+        d = self.dirs[home]
+        invs = d.sharers_to_invalidate(line, excluding=node)
         if not invs:
-            d.set_exclusive(line, requester)
-            self._schedule_reply(
-                home, requester, line, LineState.MODIFIED, at=ready, with_data=False
-            )
+            self._grant(home, node, line, grant, ready, data)
             return
         self.stats.invalidations += len(invs)
         d.stats.invalidations_sent += len(invs)
@@ -450,29 +580,22 @@ class CoherenceEngine:
             nonlocal remaining
             remaining -= 1
             if remaining == 0:
-                t2 = self.ports[home].acquire(self.p.home_ctrl_occupancy)
-                d.set_exclusive(line, requester)
-                self._schedule_reply(
-                    home, requester, line, LineState.MODIFIED, at=t2, with_data=False
-                )
+                at = self.ports[home].acquire(self.p.home_ctrl_occupancy)
+                self._grant(home, node, line, grant, at, data)
 
+        port = self.ports[home]
         send_at = ready
         for sharer in invs:
-            send_at = self.ports[home].acquire(self.p.inv_issue, earliest=send_at)
-            if sharer == home:
-                def local_inv(s: int = sharer) -> None:
-                    def do() -> None:
-                        self.caches[s].invalidate(line)
-                        on_ack()
-
-                    self._apply_or_defer(s, line, do)
-
-                self.sim.call_at(send_at, local_inv)
+            send_at = port.acquire(self.p.inv_issue, earliest=send_at)
+            if sharer == home:  # the home's own copy: no network
+                self.sim.call_at(
+                    send_at, lambda: self._invalidate_copy(home, line, on_ack)
+                )
             else:
                 self.sim.call_at(
                     send_at,
                     lambda s=sharer: self._send(
-                        home, s, PacketKind.COH_INVALIDATE,
+                        home, s, _PK_INVALIDATE,
                         self.p.inv_words, (line, home, on_ack),
                     ),
                 )
@@ -487,159 +610,10 @@ class CoherenceEngine:
             occ = int(occ * self.p.local_home_discount)
         if entry_overflowed:
             occ += self.p.trap_cycles
-            self.dirs[home].note_software_trap()
+            self.dirs[home].stats.software_traps += 1
             if self.on_software_trap is not None:
                 self.on_software_trap(home, self.p.trap_cycles)
         return self.ports[home].acquire(occ)
-
-    def _process_read(self, home: int, req: _HomeReq) -> None:
-        line, requester = req.line, req.node
-        d = self.dirs[home]
-        entry = d.entry(line)
-        ready = self._occupy(home, len(entry.sharers) > d.hw_pointers, with_data=True, requester=requester)
-
-        if entry.state is DirState.EXCLUSIVE and entry.owner == requester:
-            # Stale ownership (eviction writeback in flight); the data
-            # is safe in the backing store. Fall through as UNOWNED.
-            d.clear(line)
-            entry = d.entry(line)
-
-        if entry.state is DirState.EXCLUSIVE:
-            owner = entry.owner
-            assert owner is not None
-            self.stats.forwards += 1
-            d.stats.forwards += 1
-            if owner == home:
-                # dirty in the home's own cache: flush locally, reply
-                def downgrade_own() -> None:
-                    if self.caches[home].state(line) is not LineState.INVALID:
-                        self.caches[home].set_state(line, LineState.SHARED)
-
-                self._apply_or_defer(home, line, downgrade_own)
-                extra = self.ports[home].acquire(self.p.home_data_occupancy, earliest=ready)
-                d.clear(line)
-                d.add_sharer(line, home)
-                d.add_sharer(line, requester)
-                self._schedule_reply(home, requester, line, LineState.SHARED, at=extra)
-            else:
-                def after_writeback() -> None:
-                    t2 = self.ports[home].acquire(self.p.home_data_occupancy)
-                    d.clear(line)
-                    d.add_sharer(line, owner)
-                    d.add_sharer(line, requester)
-                    self._schedule_reply(home, requester, line, LineState.SHARED, at=t2)
-
-                self.sim.call_at(
-                    ready,
-                    lambda: self._send(
-                        home,
-                        owner,
-                        PacketKind.COH_FORWARD,
-                        self.p.inv_words,
-                        ("read", line, home, after_writeback),
-                    ),
-                )
-            return
-
-        if self.p.mesi and entry.state is DirState.UNOWNED:
-            # sole reader: grant exclusive-clean
-            d.set_exclusive(line, requester)
-            self._schedule_reply(home, requester, line, LineState.EXCLUSIVE, at=ready)
-            return
-        d.add_sharer(line, requester)
-        self._schedule_reply(home, requester, line, LineState.SHARED, at=ready)
-
-    def _process_write(self, home: int, req: _HomeReq) -> None:
-        line, requester = req.line, req.node
-        d = self.dirs[home]
-        entry = d.entry(line)
-        ready = self._occupy(home, len(entry.sharers) > d.hw_pointers, with_data=True, requester=requester)
-
-        if entry.state is DirState.EXCLUSIVE and entry.owner == requester:
-            d.clear(line)
-            entry = d.entry(line)
-
-        if entry.state is DirState.EXCLUSIVE:
-            owner = entry.owner
-            assert owner is not None
-            self.stats.forwards += 1
-            d.stats.forwards += 1
-            if owner == home:
-                self._apply_or_defer(home, line, lambda: self.caches[home].invalidate(line))
-                extra = self.ports[home].acquire(self.p.home_data_occupancy, earliest=ready)
-                d.set_exclusive(line, requester)
-                self._schedule_reply(home, requester, line, LineState.MODIFIED, at=extra)
-            else:
-                def after_writeback() -> None:
-                    t2 = self.ports[home].acquire(self.p.home_data_occupancy)
-                    d.set_exclusive(line, requester)
-                    self._schedule_reply(home, requester, line, LineState.MODIFIED, at=t2)
-
-                self.sim.call_at(
-                    ready,
-                    lambda: self._send(
-                        home,
-                        owner,
-                        PacketKind.COH_FORWARD,
-                        self.p.inv_words,
-                        ("write", line, home, after_writeback),
-                    ),
-                )
-            return
-
-        invs = d.sharers_to_invalidate(line, excluding=requester)
-        if not invs:
-            d.set_exclusive(line, requester)
-            self._schedule_reply(home, requester, line, LineState.MODIFIED, at=ready)
-            return
-
-        # Invalidate every other sharer, collect acks at the home, then
-        # grant exclusivity.
-        self.stats.invalidations += len(invs)
-        d.stats.invalidations_sent += len(invs)
-        remaining = len(invs)
-
-        def on_ack() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                t2 = self.ports[home].acquire(self.p.home_ctrl_occupancy)
-                d.set_exclusive(line, requester)
-                self._schedule_reply(home, requester, line, LineState.MODIFIED, at=t2)
-
-        send_at = ready
-        for sharer in invs:
-            send_at = self.ports[home].acquire(self.p.inv_issue, earliest=send_at)
-            if sharer == home:
-                # invalidate the home's own cached copy, no network
-                def local_inv(s: int = sharer) -> None:
-                    def do() -> None:
-                        self.caches[s].invalidate(line)
-                        on_ack()
-
-                    self._apply_or_defer(s, line, do)
-
-                self.sim.call_at(send_at, local_inv)
-            else:
-                self.sim.call_at(
-                    send_at,
-                    lambda s=sharer: self._send(
-                        home, s, PacketKind.COH_INVALIDATE,
-                        self.p.inv_words, (line, home, on_ack),
-                    ),
-                )
-
-    def _process_writeback(self, home: int, req: _HomeReq) -> None:
-        line = req.line
-        d = self.dirs[home]
-        self.stats.writebacks += 1
-        self._occupy(home, False, with_data=req.was_modified)
-        entry = d.entry(line)
-        if entry.state is DirState.EXCLUSIVE and entry.owner == req.node:
-            d.clear(line)
-        else:
-            d.drop_sharer(line, req.node)
-        self._line_release(home, line)
 
     # ------------------------------------------------------------------
     # Remote-side handlers (sharer / owner nodes)
@@ -661,52 +635,67 @@ class CoherenceEngine:
         else:
             action()
 
+    def _invalidate_copy(self, node: int, line: int, ack: OnDone) -> None:
+        """Drop ``node``'s copy of ``line``, then ``ack``."""
+
+        def do_inv() -> None:
+            self.caches[node].invalidate(line)
+            ack()
+
+        self._apply_or_defer(node, line, do_inv)
+
     def _on_invalidate(self, packet: Packet) -> None:
         line, home, on_ack = packet.payload
         dst = packet.dst
+        self._invalidate_copy(dst, line, lambda: self._send(
+            dst, home, _PK_INV_ACK, self.p.ack_words, on_ack))
 
-        def do_inv() -> None:
-            self.caches[dst].invalidate(line)
-            self._send(dst, home, PacketKind.COH_INV_ACK, self.p.ack_words, on_ack)
-
-        self._apply_or_defer(dst, line, do_inv)
+    def _give_up(self, owner: int, line: int, grant: LineState) -> None:
+        """The owner's side of a forward: it keeps a SHARED copy when
+        the requester is granted SHARED and drops the line otherwise
+        (a no-op if it already evicted the line)."""
+        cache = self.caches[owner]
+        if cache.state(line) is not LineState.INVALID:
+            if grant is _LS_SHARED:
+                cache.set_state(line, LineState.SHARED)
+            else:
+                cache.invalidate(line)
 
     def _on_forward(self, packet: Packet) -> None:
-        mode, line, home, continuation = packet.payload
+        grant, line, home, continuation = packet.payload
         owner = packet.dst
 
         def do_forward() -> None:
-            cache = self.caches[owner]
-            if cache.state(line) is not LineState.INVALID:
-                if mode == "read":
-                    cache.set_state(line, LineState.SHARED)
-                else:
-                    cache.invalidate(line)
+            self._give_up(owner, line, grant)
             # Data-bearing writeback to the home (stale-safe: sent even
             # if the line was already evicted — values live in the
             # store). The ACK_REPLY kind routes the continuation back
             # into the pending transaction rather than opening a new one.
             words = self.p.data_reply_words(self.line_size)
-            self._send(owner, home, PacketKind.COH_ACK_REPLY, words, continuation)
+            self._send(owner, home, _PK_ACK_REPLY, words, continuation)
 
         self._apply_or_defer(owner, line, do_forward)
 
     # ------------------------------------------------------------------
-    # Reply / fill
+    # Grant / reply / fill
     # ------------------------------------------------------------------
-    def _schedule_reply(
-        self,
-        home: int,
-        requester: int,
-        line: int,
-        state: LineState,
-        at: int,
-        with_data: bool = True,
-    ) -> None:
+    def _grant(self, home: int, requester: int, line: int, state: LineState,
+               at: int, with_data: bool = True, owner: int = -1) -> None:
+        """Record the requester's new copy in the home directory and
+        send it the ``state`` fill at cycle ``at``. ``owner`` gave the
+        line up for this grant; a reader leaves it a SHARED copy."""
+        d = self.dirs[home]
+        if state is _LS_SHARED:
+            if owner >= 0:
+                d.clear(line)
+                d.add_sharer(line, owner)
+            d.add_sharer(line, requester)
+        else:
+            d.set_exclusive(line, requester)
         words = (
             self.p.data_reply_words(self.line_size) if with_data else self.p.ack_words
         )
-        pk = PacketKind.COH_DATA_REPLY if with_data else PacketKind.COH_ACK_REPLY
+        pk = _PK_DATA_REPLY if with_data else _PK_ACK_REPLY
         txn = self._mshr[requester].get(line)
         if txn is not None:
             # from here on, invalidations/forwards for this line may
@@ -779,12 +768,12 @@ class CoherenceEngine:
 
     def _evict_writeback(self, node: int, line: int) -> None:
         home = home_of(line)
-        req = _HomeReq(kind="writeback", node=node, line=line, was_modified=True)
+        req = _HomeReq(_RQ_WRITEBACK, node, line)
         words = self.p.data_reply_words(self.line_size)
         if home == node:
             self._home_enqueue(home, req)
         else:
-            self._send(node, home, PacketKind.COH_WRITEBACK, words, req)
+            self._send(node, home, _PK_WRITEBACK, words, req)
 
     # ------------------------------------------------------------------
     # DMA bookkeeping (zero-message directory fixup; see DESIGN.md)
@@ -803,14 +792,8 @@ class CoherenceEngine:
             # foreign home is protocol-safe (the invalidate path is
             # already stale-tolerant) and DMA of remote-homed data is
             # not exercised by the experiments.
-            if self.shard is not None and not self.shard.owns(home):
-                d = None
-            if d is not None:
-                entry = d.entry(line)
-                if entry.state is DirState.EXCLUSIVE and entry.owner == node:
-                    d.clear(line)
-                else:
-                    d.drop_sharer(line, node)
+            if d is not None and (self.shard is None or self.shard.owns(home)):
+                d.forget(line, node, d.entry(line))
             if prior is LineState.MODIFIED:
                 dirty += 1
         return dirty

@@ -27,14 +27,15 @@ class DirEntry:
     sharers: set[int] = field(default_factory=set)
     owner: int | None = None
 
-    def check(self) -> None:
-        """Internal-consistency assertion, used by tests."""
+    def well_formed(self) -> bool:
+        """True when the entry's shape fits its state: UNOWNED has no
+        sharers and no owner, SHARED has sharers and no owner,
+        EXCLUSIVE has an owner and no sharers."""
         if self.state is DirState.UNOWNED:
-            assert not self.sharers and self.owner is None
-        elif self.state is DirState.SHARED:
-            assert self.sharers and self.owner is None
-        else:
-            assert self.owner is not None and not self.sharers
+            return not self.sharers and self.owner is None
+        if self.state is DirState.SHARED:
+            return bool(self.sharers) and self.owner is None
+        return self.owner is not None and not self.sharers
 
 
 @dataclass(slots=True)
@@ -83,9 +84,6 @@ class Directory:
     def overflowed(self, entry: DirEntry) -> bool:
         """True when the sharer set no longer fits the hardware pointers."""
         return len(entry.sharers) > self.hw_pointers
-
-    def note_software_trap(self) -> None:
-        self.stats.software_traps += 1
 
     # The mutators below inline ``entry()`` (including its
     # ``stats.lookups`` bump, so counts are unchanged) — they run once
@@ -147,6 +145,16 @@ class Directory:
             e.state = DirState.UNOWNED
         for fn in self.after_drop_sharer:
             fn(line)
+
+    def forget(self, line: int, node: int, entry: DirEntry) -> None:
+        """Forget ``node``'s copy of ``line`` (an eviction writeback, a
+        DMA flush, stale ownership): an owner's entry goes UNOWNED, a
+        sharer leaves the sharer set. ``entry`` is the caller's
+        ``entry(line)`` read."""
+        if entry.state is DirState.EXCLUSIVE and entry.owner == node:
+            self.clear(line)
+        else:
+            self.drop_sharer(line, node)
 
     def sharers_to_invalidate(self, line: int, excluding: int) -> list[int]:
         """Sharer list minus ``excluding``, in deterministic order."""

@@ -146,7 +146,7 @@ class ShardView:
             )
         self.machine = machine
         net = machine.network
-        self.lookahead = net.injection_latency + net.hop_latency
+        self.lookahead = net.min_cross_latency()
         if self.lookahead < 1:
             raise PartitionError(
                 "partitioning needs injection_latency + hop_latency >= 1 "
@@ -254,19 +254,19 @@ class ShardView:
         """Encode a protocol payload structurally.  Exhaustive over the
         payload shapes the coherence engine and CMMU put on the wire;
         anything else is a loud error, not a silent wrong run."""
-        from repro.memory.coherence import AccessKind, _Fill, _HomeReq
+        from repro.memory.coherence import _Fill, _HomeReq
         from repro.network.packet import PacketKind
 
         kind = packet.kind
         p = packet.payload
         if isinstance(p, _HomeReq):
-            k = p.kind.value if isinstance(p.kind, AccessKind) else p.kind
+            # a writeback carries an evicted MODIFIED line
             deposit = (
                 self._snap_line(p.line, src=packet.src)
-                if kind is PacketKind.COH_WRITEBACK and p.was_modified
+                if kind is PacketKind.COH_WRITEBACK
                 else None
             )
-            return ("req", k, p.node, p.line, p.was_modified), deposit
+            return ("req", p.kind.name, p.node, p.line), deposit
         if isinstance(p, _Fill):
             # src is the home; when the home node itself just
             # relinquished ownership its committed stores may still be
@@ -290,8 +290,9 @@ class ShardView:
             line, home, on_ack = p
             return ("inv", line, home, self._register_token(on_ack)), None
         if kind is PacketKind.COH_FORWARD:
-            mode, line, home, cont = p
-            return ("fwd", mode, line, home, self._register_token(cont)), None
+            grant, line, home, cont = p
+            token = self._register_token(cont)
+            return ("fwd", grant.name, line, home, token), None
         if kind in (PacketKind.USER_MESSAGE, PacketKind.DMA_TRANSFER):
             try:
                 import pickle
@@ -352,16 +353,11 @@ class ShardView:
 
     def _decode(self, src: int, spec: tuple, coh: Any) -> Any:
         from repro.memory.cache import LineState
-        from repro.memory.coherence import AccessKind, _Fill, _HomeReq
+        from repro.memory.coherence import Request, _Fill, _HomeReq
 
         tag = spec[0]
         if tag == "req":
-            k = spec[1]
-            try:
-                k = AccessKind(k)
-            except ValueError:
-                pass  # "upgrade" / "writeback" stay strings
-            return _HomeReq(k, spec[2], spec[3], spec[4])
+            return _HomeReq(Request[spec[1]], spec[2], spec[3])
         if tag == "fill":
             return _Fill(coh, spec[1], spec[2], LineState[spec[3]])
         if tag == "tok":
@@ -375,7 +371,7 @@ class ShardView:
             return (spec[1], spec[2], token)
         if tag == "fwd":
             token = _RemoteToken(self.plan.shard_of(src), spec[4], spec[2])
-            return (spec[1], spec[2], spec[3], token)
+            return (LineState[spec[1]], spec[2], spec[3], token)
         if tag == "msg":
             return spec[1]
         raise PartitionError(f"unknown record spec {spec!r}")  # pragma: no cover

@@ -209,7 +209,7 @@ class TestDirectory:
         d = Directory(0)
         e = d.entry(0x100)
         assert e.state is DirState.UNOWNED
-        e.check()
+        assert e.well_formed()
 
     def test_add_sharer(self):
         d = Directory(0)
@@ -217,7 +217,7 @@ class TestDirectory:
         assert not overflow
         e = d.entry(0x100)
         assert e.state is DirState.SHARED and e.sharers == {3}
-        e.check()
+        assert e.well_formed()
 
     def test_overflow_beyond_hw_pointers(self):
         d = Directory(0, hw_pointers=2)
@@ -233,7 +233,7 @@ class TestDirectory:
         d.set_exclusive(0x100, 7)
         e = d.entry(0x100)
         assert e.state is DirState.EXCLUSIVE and e.owner == 7 and not e.sharers
-        e.check()
+        assert e.well_formed()
 
     def test_add_sharer_while_exclusive_raises(self):
         d = Directory(0)
