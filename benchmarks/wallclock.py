@@ -1,35 +1,24 @@
 """Wall-clock benchmark harness: how fast does the simulator run on the host?
 
-Three measurements, written to ``BENCH_wallclock.json`` at the repo
+Four measurements, written to ``BENCH_wallclock.json`` at the repo
 root so every PR leaves a perf trajectory behind:
 
-1. **Engine micro-bench** — events/sec pumping a synthetic event mix
-   through the current engine *and* through a faithful replica of the
-   pre-optimization engine (``@dataclass(order=True)`` heap entries).
-   Comparing both on the same host in the same process isolates the
-   engine speedup from machine noise.
-2. **Workload events/sec** — a fixed jacobi + memcpy + barrier
+1. **Workload events/sec** — a fixed jacobi + memcpy + barrier
    workload through the full machine model (coherence, network,
    processors), reporting simulator events *and* simulated cycles per
    wall-clock second.
-3. **Macro-vs-micro ablation** — the same workload with macro-effects
+2. **Macro-vs-micro ablation** — the same workload with macro-effects
    (``ComputeLoad`` / ``LoadComputeStore`` / ``StoreRun`` /
    ``SpinUntilGE`` batches) as written, and with every thread wrapped
    in ``repro.proc.effects.expand`` (each macro-effect replaced by its
    micro program). Event counts and simulated cycles must be identical
    (the batch runners chain per-element events); only the wall clock
    may differ.
-4. **Large-sweep parallel bench** — a 32-point accum sweep big enough
+3. **Large-sweep parallel bench** — a 32-point accum sweep big enough
    to clear the SweepRunner's fan-out threshold, serial vs parallel,
    reporting ``parallel_speedup``. On single-cpu hosts this records an
    explicit ``{"skipped": "1 cpu"}`` marker instead of a number.
-5. **Partitioned-run bench** — one 256-node jacobi run split across
-   node-sharded engines (``repro.perf.partition``) at 2 and 4 shards,
-   reporting events/sec and ``speedup_vs_serial`` per shard count plus
-   a ``result_identical`` bit (partitioned runs must reproduce the
-   serial answer exactly). Single-cpu hosts record the same explicit
-   ``{"skipped": "1 cpu"}`` marker as (4).
-6. **Sweep wall time** — the full experiment sweep end-to-end at
+4. **Sweep wall time** — the full experiment sweep end-to-end at
    ``--jobs 1`` vs ``--jobs N`` through the parallel SweepRunner, and
    cold vs warm through the content-addressed run cache
    (``repro.perf.cache``). Worker-pool startup is measured separately
@@ -40,24 +29,22 @@ CI regression gate::
 
     python benchmarks/wallclock.py --check BENCH_wallclock.json
 
-re-measures (1)-(5) and exits non-zero if workload events/sec fell
+re-measures (1)-(3) and exits non-zero if workload events/sec fell
 more than 25% below the committed baseline, if the macro/micro
 ablation diverges in events or simulated cycles, or if the parallel
-sweep or the partitioned run fails to reach 1.0x speedup / diverges
-from serial (both auto-skipped on 1-cpu hosts). ``REPRO_BENCH_JOBS``
-overrides the job count when ``--jobs`` is not given.
+sweep fails to reach 1.0x speedup / diverges from serial (auto-skipped
+on 1-cpu hosts). ``REPRO_BENCH_JOBS`` overrides the job count when
+``--jobs`` is not given.
 """
 
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -66,86 +53,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import ALL_EXPERIMENTS  # noqa: E402
 from repro.perf.sweep import default_jobs  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
 
 #: same trimmed parameterizations the CLI's --quick uses
 from repro.experiments.spec import QUICK_ARGS  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# 1. Engine micro-bench (current engine vs pre-PR replica)
-# ----------------------------------------------------------------------
-@dataclass(order=True)
-class _LegacyEvent:
-    time: int
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
-class LegacySimulator:
-    """Faithful replica of the pre-optimization event loop: dataclass
-    heap entries (ordered via ``__lt__`` dispatch), ceil arithmetic on
-    every delay, no due-lane. Kept here as the micro-bench yardstick."""
-
-    def __init__(self) -> None:
-        self._queue: list[_LegacyEvent] = []
-        self._seq = 0
-        self.now = 0
-        self.events_processed = 0
-
-    def schedule(self, delay, fn):
-        when = self.now + int(-(-delay // 1))
-        ev = _LegacyEvent(when, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev
-
-    def run(self) -> None:
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            self.now = ev.time
-            self.events_processed += 1
-            ev.fn()
-
-
-def _pump(sim, schedule, n_events: int) -> float:
-    """Drive ``n_events`` through 32 interleaved delay-varying chains;
-    returns events/sec. The delay pattern mixes same-cycle, short and
-    longer delays the way the machine model does."""
-    count = [0]
-
-    def tick(d: int) -> None:
-        count[0] += 1
-        if count[0] < n_events:
-            schedule(d, lambda: tick((d % 7) + 1))
-
-    for i in range(32):
-        schedule(i % 5, lambda i=i: tick((i % 7) + 1))
-    t0 = time.perf_counter()
-    sim.run()
-    return sim.events_processed / (time.perf_counter() - t0)
-
-
-def engine_microbench(n_events: int = 300_000, repeats: int = 3) -> dict:
-    best_new = best_legacy = 0.0
-    for _ in range(repeats):
-        sim = Simulator()
-        best_new = max(best_new, _pump(sim, sim.call_after, n_events))
-        legacy = LegacySimulator()
-        best_legacy = max(best_legacy, _pump(legacy, legacy.schedule, n_events))
-    return {
-        "events": n_events,
-        "events_per_sec": round(best_new),
-        "legacy_events_per_sec": round(best_legacy),
-        "speedup_vs_legacy": round(best_new / best_legacy, 2),
-    }
-
-
-# ----------------------------------------------------------------------
-# 2. Fixed workload events/sec (full machine model)
+# 1. Fixed workload events/sec (full machine model); 2. its macro/micro
+# ablation
 # ----------------------------------------------------------------------
 def _program(macro: bool) -> Callable:
     """How a workload wraps its threads: as written (macro-effects run
@@ -274,7 +189,7 @@ def ablation_bench(repeats: int = 2) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Large-sweep parallel bench: does fan-out actually pay off?
+# 3. Large-sweep parallel bench: does fan-out actually pay off?
 # ----------------------------------------------------------------------
 def parallel_bench(jobs: int) -> dict:
     """Serial vs parallel over a sweep big enough to clear the
@@ -313,59 +228,7 @@ def parallel_bench(jobs: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Partitioned-run bench: node-sharded engines on one big machine
-# ----------------------------------------------------------------------
-def partition_bench() -> dict:
-    """One 256-node jacobi run, serial vs split across 2 and 4 shard
-    workers (``repro.perf.partition``). The sweep runner parallelizes
-    *across* points; this parallelizes *within* a single run, which is
-    what a 1024-node simulation actually needs. Single-cpu hosts get
-    the explicit skip marker — shard workers would just time-slice."""
-    if (os.cpu_count() or 1) < 2:
-        return {"skipped": "1 cpu"}
-    from repro.apps.jacobi import JacobiApp
-    from repro.experiments.common import make_machine
-    from repro.perf.partition import run_partitioned
-
-    n_nodes = 256
-    kwargs = {"mode": "mp", "grid_size": 64, "n_nodes": n_nodes,
-              "iters": 4, "validate": False}
-    # in-process serial reference: the wall-clock yardstick and the
-    # model event count (partitioned shards process the same model
-    # events, plus window-barrier overhead the speedup has to beat)
-    t0 = time.perf_counter()
-    m = make_machine(n_nodes)
-    app = JacobiApp(m, grid_size=kwargs["grid_size"],
-                    iters=kwargs["iters"], mode=kwargs["mode"])
-    _, cycles = app.run()
-    serial_wall = time.perf_counter() - t0
-    serial_result = app.cycles_per_iteration(cycles)
-    events = m.sim.events_processed
-    out = {
-        "workload": f"fig11 jacobi mp 64x64, {n_nodes} nodes, 4 iters",
-        "events": events,
-        "serial_wall_sec": round(serial_wall, 3),
-        "serial_events_per_sec": round(events / serial_wall),
-        "shards": {},
-    }
-    for k in (2, 4):
-        t0 = time.perf_counter()
-        result = run_partitioned(
-            "repro.experiments.fig11_jacobi:measure_jacobi",
-            kwargs, n_nodes, k,
-        )
-        wall = time.perf_counter() - t0
-        out["shards"][str(k)] = {
-            "wall_sec": round(wall, 3),
-            "events_per_sec": round(events / wall),
-            "speedup_vs_serial": round(serial_wall / wall, 2),
-            "result_identical": result == serial_result,
-        }
-    return out
-
-
-# ----------------------------------------------------------------------
-# 3. Full experiment sweep: serial vs parallel, cold vs warm cache
+# 4. Full experiment sweep: serial vs parallel, cold vs warm cache
 # ----------------------------------------------------------------------
 def sweep_bench(jobs: int) -> dict:
     import tempfile
@@ -409,16 +272,13 @@ def sweep_bench(jobs: int) -> dict:
 
 # ----------------------------------------------------------------------
 def measure(jobs: int, quick: bool, skip_sweep: bool = False) -> dict:
-    n_events = 60_000 if quick else 300_000
-    repeats = 1 if quick else 3
     out = {
-        "schema": 3,
+        "schema": 4,
         "host": {
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        "engine_microbench": engine_microbench(n_events, repeats),
         # best-of-2 even in quick mode: the regression gate compares a
         # quick CI measurement against a full-run baseline, and a
         # single sample on a contended runner can false-trip the 25%
@@ -426,7 +286,6 @@ def measure(jobs: int, quick: bool, skip_sweep: bool = False) -> dict:
         "workload": workload_bench(2 if quick else 3),
         "macro_ablation": ablation_bench(1 if quick else 2),
         "parallel": parallel_bench(jobs),
-        "partition": partition_bench(),
     }
     if not skip_sweep:
         out["sweep"] = sweep_bench(jobs)
@@ -464,24 +323,8 @@ def check_against(baseline_path: Path, measured: dict, tolerance: float = 0.25) 
     else:
         print(f"parallel sweep: {par['parallel_speedup']}x speedup over "
               f"{par['sweep_points']} points at jobs={par['jobs']}")
-    part = measured.get("partition", {})
-    if part.get("skipped"):
-        print(f"partition gate: skipped ({part['skipped']})")
-    else:
-        best = max(s["speedup_vs_serial"] for s in part["shards"].values())
-        if not all(s["result_identical"] for s in part["shards"].values()):
-            print(f"FAIL: partitioned run diverged from serial: {part}")
-            failed = True
-        elif best < 1.0:
-            print(f"FAIL: no shard count beat serial wall-clock: {part}")
-            failed = True
-        else:
-            print(f"partition: best {best}x over serial on "
-                  f"{part['workload']}")
     if failed:
         return 1
-    ratio = measured["engine_microbench"]["speedup_vs_legacy"]
-    print(f"engine speedup vs pre-PR replica: {ratio}x")
     print("OK")
     return 0
 
@@ -494,9 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_wallclock.json",
                     help="where to write the JSON result")
     ap.add_argument("--quick", action="store_true",
-                    help="smaller event counts / single repeat (CI-sized)")
+                    help="fewer repeats (CI-sized)")
     ap.add_argument("--skip-sweep", action="store_true",
-                    help="only the micro-bench and workload measurements")
+                    help="skip the full experiment sweep (4): only the "
+                    "workload, ablation and parallel-sweep measurements")
     ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
                     help="compare against a committed baseline JSON and exit "
                     "non-zero on >25%% events/sec regression (implies "

@@ -287,14 +287,6 @@ class JacobiApp:
         return self.assemble_grid(), cycles
 
     def assemble_grid(self) -> np.ndarray:
-        shard = self.machine.shard
-        if shard is not None:
-            # partitioned run: host block arrays are only current on the
-            # shard that executed the owning node's thread — gather them
-            mine = {n: self.states[n].block for n in shard.owned_nodes()}
-            for part in shard.allgather("jacobi.blocks", mine):
-                for n, blk in part.items():
-                    self.states[n].block = blk
         out = np.zeros((self.g, self.g), dtype=np.float64)
         for node, st in enumerate(self.states):
             b = self.b

@@ -88,7 +88,6 @@ def experiment_spec(
     exp_id: str,
     quick: bool = False,
     nodes: int | None = None,
-    partitions: int | None = None,
     params: dict | None = None,
     trace: bool = False,
     sample_interval: int = 0,
@@ -101,8 +100,6 @@ def experiment_spec(
         spec["quick"] = True
     if nodes is not None:
         spec["nodes"] = nodes
-    if partitions is not None:
-        spec["partitions"] = partitions
     if params is not None:
         spec["params"] = params
     if trace:
@@ -122,7 +119,6 @@ def run_experiment(
     fault_rate: float | None = None,
     fault_seed: int | None = None,
     jobs: int | None = None,
-    partitions: int | None = None,
     profile: bool = False,
     metrics_out: str | None = None,
     trace_out: str | None = None,
@@ -142,7 +138,7 @@ def run_experiment(
         params["seed"] = fault_seed
     try:
         exp_id, kwargs, obs_cfg = specs.resolve(experiment_spec(
-            exp_id, quick, nodes, partitions, params or None,
+            exp_id, quick, nodes, params or None,
             bool(trace_out), sample_interval, check,
         ))
     except ValueError as exc:
@@ -304,14 +300,13 @@ def _build_spec(args: argparse.Namespace) -> dict:
             raise SystemExit(f"--params is not valid JSON: {exc}")
     if args.experiment == "fuzz":
         # campaign job: {"fuzz": {"seeds": ..., "budget": ...}}
-        for flag in ("quick", "nodes", "trace", "sample_interval", "check",
-                     "partitions"):
+        for flag in ("quick", "nodes", "trace", "sample_interval", "check"):
             if getattr(args, flag, None):
                 raise SystemExit(f"--{flag.replace('_', '-')} does not apply "
                                  "to fuzz campaigns; use --params")
         return {"fuzz": params if args.params else {}}
     return experiment_spec(
-        args.experiment, args.quick, args.nodes, args.partitions, params,
+        args.experiment, args.quick, args.nodes, params,
         args.trace, args.sample_interval, args.check,
     )
 
@@ -502,12 +497,6 @@ def main(argv: list[str] | None = None) -> int:
         "(0 = auto; results are byte-identical at any job count)",
     )
     runp.add_argument(
-        "--partitions", type=int, default=None, metavar="K",
-        help="split each run's machine across K shard worker processes "
-        "(node-range partitioning with conservative lookahead; "
-        "parallelism *within* a run, for 1024+ node machines)",
-    )
-    runp.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the top functions per experiment",
     )
@@ -613,10 +602,6 @@ def main(argv: list[str] | None = None) -> int:
     subp.add_argument("--trace", action="store_true",
                       help="capture a Perfetto trace artifact")
     subp.add_argument("--sample-interval", type=int, default=0, metavar="CYCLES")
-    subp.add_argument(
-        "--partitions", type=int, default=None, metavar="K",
-        help="split each run's machine across K shard workers on the server",
-    )
     subp.add_argument("--check", default=None, metavar="C1,C2",
                       help="attach dynamic checkers (race,coherence,deadlock)")
     subp.add_argument("--wait", action="store_true",
@@ -714,7 +699,6 @@ def main(argv: list[str] | None = None) -> int:
                     fault_rate=args.fault_rate,
                     fault_seed=args.fault_seed,
                     jobs=args.jobs,
-                    partitions=args.partitions,
                     profile=args.profile,
                     metrics_out=args.metrics_out,
                     trace_out=args.trace_out,

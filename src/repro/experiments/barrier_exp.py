@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.analysis.metrics import cycles_to_usec
 from repro.analysis.tables import ExperimentResult
-from repro.experiments.common import make_machine, partitioned_map, sweep_map
+from repro.experiments.common import make_machine, sweep_map
 from repro.perf.sweep import SweepPoint
 from repro.proc.effects import Compute
 from repro.runtime.barrier import MPTreeBarrier, SMTreeBarrier
@@ -36,13 +36,6 @@ def measure_barrier(make_barrier, n_nodes: int = 64, episodes: int = 4) -> int:
         m.processor(node).run_thread(participant(node))
     m.run()
     last = episodes - 1
-    if m.shard is not None:
-        # partitioned run: each shard recorded only its own nodes'
-        # enter/leave times — reduce the maxima across shards
-        pairs = m.shard.allgather(
-            "barrier.last", (max(enters[last]), max(leaves[last]))
-        )
-        return max(p[1] for p in pairs) - max(p[0] for p in pairs)
     return max(leaves[last]) - max(enters[last])
 
 
@@ -64,22 +57,14 @@ def sweep(n_nodes: int = 64, episodes: int = 4) -> list[SweepPoint]:
     ]
 
 
-def run(
-    n_nodes: int = 64, episodes: int = 4, jobs: int = 1,
-    partitions: int | None = None,
-) -> ExperimentResult:
+def run(n_nodes: int = 64, episodes: int = 4, jobs: int = 1) -> ExperimentResult:
     res = ExperimentResult(
         exp_id="barrier",
         title=f"§4.2 combining-tree barrier, {n_nodes} processors",
         columns=["implementation", "cycles", "usec", "paper_cycles"],
         notes="steady-state episode; paper: 1650 vs 660 cycles on 64 procs",
     )
-    points = sweep(n_nodes, episodes)
-    sm, mp = (
-        partitioned_map(points, partitions, n_nodes)
-        if partitions is not None
-        else sweep_map(points, jobs)
-    )
+    sm, mp = sweep_map(sweep(n_nodes, episodes), jobs)
     for name, cycles in (
         ("shared-memory (binary tree)", sm),
         ("message-passing (8-ary tree)", mp),

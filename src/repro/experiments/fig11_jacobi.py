@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.tables import ExperimentResult
 from repro.apps.jacobi import JacobiApp, initial_grid, reference_jacobi
-from repro.experiments.common import make_machine, partitioned_map, sweep_map
+from repro.experiments.common import make_machine, sweep_map
 from repro.perf.sweep import SweepPoint
 
 DEFAULT_GRIDS = (32, 64, 128)
@@ -49,7 +49,7 @@ def sweep(
 
 def run(
     grid_sizes: Sequence[int] = DEFAULT_GRIDS, n_nodes: int = 64, iters: int = 6,
-    jobs: int = 1, partitions: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     res = ExperimentResult(
         exp_id="fig11",
@@ -58,13 +58,8 @@ def run(
         notes="paper: SM wins small grids, MP wins large, both by small margins",
     )
     points = sweep(grid_sizes, n_nodes, iters)
-    values = (
-        partitioned_map(points, partitions, n_nodes)
-        if partitions is not None
-        else sweep_map(points, jobs)
-    )
     measured = dict(zip(((p.kwargs["grid_size"], p.kwargs["mode"]) for p in points),
-                        values))
+                        sweep_map(points, jobs)))
     for g in grid_sizes:
         sm = measured[(g, "sm")]
         mp = measured[(g, "mp")]

@@ -11,7 +11,7 @@ from typing import Sequence
 from repro.analysis.metrics import cycles_to_msec
 from repro.analysis.tables import ExperimentResult
 from repro.apps.grain import grain_parallel, sequential_cycles
-from repro.experiments.common import make_machine, partitioned_map, sweep_map
+from repro.experiments.common import make_machine, sweep_map
 from repro.perf.sweep import SweepPoint
 from repro.runtime.rt import Runtime
 
@@ -51,7 +51,7 @@ def sweep(
 
 def run(
     delays: Sequence[int] = DEFAULT_DELAYS, depth: int = 12, n_nodes: int = 64,
-    jobs: int = 1, partitions: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     res = ExperimentResult(
         exp_id="fig9",
@@ -68,13 +68,8 @@ def run(
         notes="speedup vs single-node sequential run (no scheduler overhead)",
     )
     points = sweep(delays, depth, n_nodes)
-    values = (
-        partitioned_map(points, partitions, n_nodes)
-        if partitions is not None
-        else sweep_map(points, jobs)
-    )
     measured = dict(zip(((p.kwargs["delay"], p.kwargs["kind"]) for p in points),
-                        values))
+                        sweep_map(points, jobs)))
     for delay in delays:
         seq = sequential_cycles(depth, delay)
         s = {kind: seq / measured[(delay, kind)] for kind in ("hybrid", "sm")}

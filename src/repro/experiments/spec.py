@@ -9,8 +9,7 @@ A *spec* is the plain-JSON description of one experiment run::
       "params": {"block_sizes": [64, 256]},   # driver kwargs
       "trace": false,                # capture a Perfetto trace artifact
       "sample_interval": 0,          # time-series sampling period
-      "check": ["race", "deadlock"], # dynamic checkers to attach
-      "partitions": 2                # shard workers per run
+      "check": ["race", "deadlock"]  # dynamic checkers to attach
     }
 
 ``repro run`` builds a spec from its flags and the ``repro.serve``
@@ -53,7 +52,7 @@ NODES_KW = {exp_id: "n_nodes" for exp_id in
 
 _SPEC_KEYS = {
     "experiment", "quick", "nodes", "params", "trace", "sample_interval",
-    "check", "partitions",
+    "check",
 }
 
 
@@ -113,23 +112,6 @@ def resolve(spec: dict) -> tuple[str, dict[str, Any], "ObsConfig"]:
         from repro.check import validate_checks
 
         checks = validate_checks(spec["check"])
-    if "partitions" in params:
-        raise ValueError("'partitions' is a top-level spec key, not a param")
-    if spec.get("partitions") is not None:
-        from repro.perf.partition import validate_partitions
-
-        if "partitions" not in signature:
-            raise ValueError(f"experiment {exp_id!r} does not support 'partitions'")
-        if checks:
-            raise ValueError(
-                "'partitions' cannot be combined with 'check' "
-                "(dynamic checkers need a global view)"
-            )
-        n_plan = (
-            int(kwargs.get(nodes_kw, signature[nodes_kw].default))
-            if nodes_kw else 64
-        )
-        kwargs["partitions"] = validate_partitions(spec["partitions"], n_plan)
     obs_cfg = ObsConfig(
         sample_interval=sample_interval,
         trace=bool(spec.get("trace")),

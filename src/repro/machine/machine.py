@@ -37,12 +37,9 @@ class Machine:
     scheduling on top.
     """
 
-    def __init__(self, config: MachineConfig | None = None, shard=None) -> None:
+    def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
         cfg = self.config
-        #: repro.perf.partition.ShardView when this process simulates
-        #: one node-range shard of a partitioned run; None when serial
-        self.shard = shard
         self.sim = Simulator()
         mesh_cls = Torus2D if cfg.network.topology == "torus" else Mesh2D
         self.mesh = mesh_cls(cfg.n_nodes)
@@ -79,21 +76,6 @@ class Machine:
             self._heap_next.append(cfg.line_size)  # keep offset 0 unused
         if cfg.coherence.limitless_trap_on_cpu:
             self.coherence.on_software_trap = self._cpu_trap
-        if shard is not None:
-            # Full-replica construction: every shard builds the whole
-            # machine identically (replicated host setup => identical
-            # addresses; sparse caches/directories stay cold off-shard)
-            # but only the owned node range executes. A processor is
-            # made permanently inert by pinning _dispatch_pending: its
-            # kick()/run_thread()/message-arrival hooks become no-ops,
-            # so non-owned nodes enqueue work harmlessly and burn no
-            # events.
-            for node in self.nodes:
-                if not shard.owns(node.node_id):
-                    node.processor._dispatch_pending = True
-            self.network.shard = shard
-            self.coherence.shard = shard
-            shard.bind(self)
 
     def _cpu_trap(self, home: int, cycles: int) -> None:
         """LimitLESS software-extension handler: steal ``cycles`` of
@@ -132,8 +114,5 @@ class Machine:
         return make_addr(node, off)
 
     def run(self, **kw) -> int:
-        """Drain the event queue (delegates to the simulator; on
-        partitioned runs, to the shard's window driver)."""
-        if self.shard is not None:
-            return self.shard.drive_run(self.sim, **kw)
+        """Drain the event queue (delegates to the simulator)."""
         return self.sim.run(**kw)

@@ -262,30 +262,6 @@ class _HomeReq:
         self.line = line
 
 
-class _Fill:
-    """Payload of a remote data/ack reply: applies the fill at the
-    requester.
-
-    Behaves exactly like the ``lambda: coh._fill(node, line, state)``
-    it replaces on the remote-reply path, but carries its arguments in
-    slots so a partition barrier (repro.perf.partition) can encode it
-    structurally when the reply crosses a shard boundary. The
-    local-reply path keeps the bare lambda — it never crosses anything.
-    """
-
-    __slots__ = ("coh", "node", "line", "state")
-
-    def __init__(self, coh: "CoherenceEngine", node: int, line: int,
-                 state: LineState) -> None:
-        self.coh = coh
-        self.node = node
-        self.line = line
-        self.state = state
-
-    def __call__(self) -> None:
-        self.coh._fill(self.node, self.line, self.state)
-
-
 @dataclass(slots=True)
 class CoherenceStats:
     transactions: int = 0
@@ -333,9 +309,6 @@ class CoherenceEngine:
         #: set by the Machine when limitless_trap_on_cpu is enabled:
         #: called as fn(home_node, cycles) on each software trap
         self.on_software_trap = None
-        #: set by Machine on partitioned runs (repro.perf.partition);
-        #: None on serial runs
-        self.shard = None
         self.stats = CoherenceStats()
         self.before_access = ()
 
@@ -704,18 +677,14 @@ class CoherenceEngine:
 
         # the home==requester decision is known now; build the cheaper
         # of the two deliver closures instead of branching at fire time
+        fill = lambda: self._fill(requester, line, state)
         if home == requester:
-            fill = lambda: self._fill(requester, line, state)
             issue = self.p.request_issue
             call_after = self.sim.call_after
 
             def deliver() -> None:
                 call_after(issue, fill)
         else:
-            # slotted payload so partition barriers can encode it if
-            # this reply crosses a shard boundary; calls identically
-            fill = _Fill(self, requester, line, state)
-
             def deliver() -> None:
                 self._send(home, requester, pk, words, fill)
 
@@ -787,12 +756,7 @@ class CoherenceEngine:
         for line, prior in dropped:
             home = home_of(line)
             d = self.dirs.get(home)
-            # On partitioned runs the fixup may only touch directories
-            # this shard is authoritative for; a stale sharer bit at a
-            # foreign home is protocol-safe (the invalidate path is
-            # already stale-tolerant) and DMA of remote-homed data is
-            # not exercised by the experiments.
-            if d is not None and (self.shard is None or self.shard.owns(home)):
+            if d is not None:
                 d.forget(line, node, d.entry(line))
             if prior is LineState.MODIFIED:
                 dirty += 1

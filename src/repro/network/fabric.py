@@ -111,9 +111,6 @@ class Network:
         #: ceil math collapses to a dict probe
         self._body_cache: dict[int, int] = {}
         self.stats = NetworkStats()
-        #: set by Machine when this fabric belongs to a partition shard
-        #: (see repro.perf.partition.ShardView); None on serial runs
-        self.shard = None
         #: send policy deciding each packet's fate before injection (a
         #: repro.faults.FaultInjector); None on a healthy fabric
         self.faults = None
@@ -167,15 +164,6 @@ class Network:
         if packet.src == packet.dst:
             arrival = now + self.local_loopback_latency + body_cycles
         else:
-            shard = self.shard
-            if shard is not None and not shard.owns(packet.dst):
-                # Cross-shard: timing-walk the locally-owned links and
-                # hand the packet to the window barrier; the owning
-                # shard delivers it. Counts stats itself.
-                arrival = shard.egress(self, packet, body_cycles)
-                for fn in self.after_send:
-                    fn(packet, arrival)
-                return arrival
             links = self._route_links.get((packet.src, packet.dst))
             if links is None:
                 links = [
@@ -208,21 +196,6 @@ class Network:
         for fn in self.after_send:
             fn(packet, arrival)
         return arrival
-
-    def min_cross_latency(self) -> int:
-        """Lower bound on send→arrival for any ``src != dst`` packet.
-
-        Every remote packet pays injection plus at least one hop before
-        its body (possibly zero words) can finish streaming, so::
-
-            arrival - send >= injection_latency + hop_latency
-
-        This is the conservative lookahead partitioned runs use as
-        their bounded-lag window width (repro.perf.partition); the
-        body term is deliberately excluded so the bound holds even for
-        hypothetical zero-word packets.
-        """
-        return self.injection_latency + self.hop_latency
 
     def link_utilization(self) -> dict[tuple[int, int], int]:
         """Total busy cycles per directed link (for diagnostics)."""

@@ -225,14 +225,7 @@ def collect_machine(
     reg = MetricsRegistry()
     machine.network.register_metrics(reg)
     machine.coherence.register_metrics(reg)
-    # On a partition shard (repro.perf.partition) only the owned node
-    # range executed; skipping the cold replicas keeps per-node rows
-    # disjoint across shards so the parent-side MetricsSnapshot.merge
-    # sums counters to exactly the machine-wide totals.
-    shard = getattr(machine, "shard", None)
     for node in machine.nodes:
-        if shard is not None and not shard.owns(node.node_id):
-            continue
         node.cache.register_metrics(reg, node=node.node_id)
         node.directory.register_metrics(reg, node=node.node_id)
         node.cmmu.register_metrics(reg, node=node.node_id)
@@ -240,8 +233,6 @@ def collect_machine(
     rt = runtime if runtime is not None else getattr(machine, "runtime", None)
     if rt is not None:
         for sched in rt.schedulers:
-            if shard is not None and not shard.owns(sched.node):
-                continue
             sched.register_metrics(reg, node=sched.node)
     reg.gauge("sim.cycles", lambda: machine.sim.now)
     reg.counter("sim.events_processed", lambda: machine.sim.events_processed)

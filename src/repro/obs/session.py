@@ -20,7 +20,6 @@ are the same at any job count and cache state.
 
 from __future__ import annotations
 
-import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,11 +32,6 @@ from repro.obs.sampler import TimeSampler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check import CheckReport
     from repro.machine.machine import Machine
-
-#: a label the session gave a machine itself (any other label, such as
-#: a partition shard's ``shard<k>:m<i>``, is kept when absorbed)
-_OWN_LABEL = re.compile(r"m\d+")
-
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -193,12 +187,10 @@ class ObsSession:
     # ------------------------------------------------------------------
     def absorb(self, data: dict) -> None:
         """Fold another session's :meth:`data` payload into this one
-        (SweepRunner calls it in input order). Machines that session
-        labelled itself are renamed by their place in this one."""
+        (SweepRunner calls it in input order). Its machines are
+        renamed by their place in this one."""
         for rec in data["records"]:
-            if _OWN_LABEL.fullmatch(rec["label"]):
-                rec = {**rec, "label": self._next_label()}
-            self.records.append(rec)
+            self.records.append({**rec, "label": self._next_label()})
         if data.get("metrics") is not None:
             snap = MetricsSnapshot.from_dict(data["metrics"])
             if self.metrics is None:

@@ -146,7 +146,6 @@ class _BatchBase:
     def _done_write(self) -> None:
         proc = self.proc
         proc.store.write(self._addr, self._value)
-        proc._unpend_write(self._addr, self._value)
         ctx = self.ctx
         ctx.miss_pending = False
         if ctx.is_handler or not (
@@ -192,7 +191,6 @@ class _BatchBase:
         if proc.p.store_buffer_depth > 0:
             proc._buffered_store(self.ctx, addr, value)
             return
-        proc._pend_write(addr, value)
         self._addr = addr
         self._value = value
         lines = self._cache_lines

@@ -86,7 +86,7 @@ class Processor:
         "sim", "node", "cmmu", "coherence", "store", "p", "handlers", "ready",
         "current", "in_handler", "imask", "idle_hook", "_deferred",
         "_dispatch_pending", "_stalled", "_store_buffer", "_store_slot_seq",
-        "_pending_writes", "_fence_waiters", "stats", *PROBES,
+        "_fence_waiters", "stats", *PROBES,
     )
 
     def __init__(
@@ -120,11 +120,6 @@ class Processor:
         #: weak ordering: in-flight buffered stores as {slot_id: (addr, value)}
         self._store_buffer: dict[int, tuple[int, Any]] = {}
         self._store_slot_seq = 0
-        #: unbuffered (depth-0) stores whose ``store.write`` event is
-        #: scheduled but has not fired yet: {addr: [values, issue order]}.
-        #: Pure bookkeeping — observable by the partitioned engine's
-        #: replica snapshots, never consulted on the serial fast path.
-        self._pending_writes: dict[int, list[Any]] = {}
         #: contexts parked on a Fence (or a full buffer), resumed on drain
         self._fence_waiters: list[tuple[Context, bool]] = []
         self.stats = ProcessorStats()
@@ -401,11 +396,9 @@ class Processor:
         if self.p.store_buffer_depth > 0:
             self._buffered_store(ctx, addr, value)
             return
-        self._pend_write(addr, value)
 
         def on_store() -> None:
             self.store.write(addr, value)
-            self._unpend_write(addr, value)
             self._complete(ctx)
 
         hit = self.coherence.access(self.node, addr, AccessKind.WRITE, on_store)
@@ -500,16 +493,6 @@ class Processor:
 
         self.coherence.access(self.node, addr, AccessKind.WRITE, on_retire)
         self.sim.call_after(self.p.store_issue_cost, lambda: self._complete(ctx))
-
-    def _pend_write(self, addr: int, value: Any) -> None:
-        self._pending_writes.setdefault(addr, []).append(value)
-
-    def _unpend_write(self, addr: int, value: Any) -> None:
-        vals = self._pending_writes.get(addr)
-        if vals is not None:
-            vals.remove(value)
-            if not vals:
-                del self._pending_writes[addr]
 
     def _forward_from_store_buffer(self, addr: int):
         """Store-to-load forwarding: youngest buffered value for addr

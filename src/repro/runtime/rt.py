@@ -116,10 +116,6 @@ class Runtime:
         self.tasks: dict[int, Task] = {}
         self._task_ids = itertools.count(1)
         self.done = False
-        if machine.shard is not None:
-            # partitioned runs: the root shard broadcasts completion at
-            # the next window barrier so every shard's idle loops stop
-            machine.shard.on_signal("rt.done", self._on_done_signal)
         if scheduler == "hybrid":
             sched_cls: type[NodeScheduler] = HybridScheduler
         elif scheduler == "sm":
@@ -145,9 +141,6 @@ class Runtime:
                     else:
                         proc.register_handler(mtype, fn)
             proc.kick()  # start the idle loop (work stealing) everywhere
-
-    def _on_done_signal(self, value: Any) -> None:
-        self.done = True
 
     # ------------------------------------------------------------------
     # Task creation and joining (call via ``yield from`` inside threads)
@@ -262,27 +255,14 @@ class Runtime:
         """
         t0 = self.sim.now
         box: dict[str, Any] = {}
-        shard = self.machine.shard
 
         def finished(value: Any) -> None:
             box["result"] = value
             box["cycles"] = self.sim.now - t0
             self.done = True
-            if shard is not None:
-                # other shards learn at the next window barrier; their
-                # idle loops wind down within one backoff period, after
-                # the cycle count above is already fixed
-                shard.post_signal("rt.done", True)
 
         self.spawn_root(node, factory, label=label, on_finish=finished)
         self.machine.run(max_events=max_events)
-        if shard is not None:
-            # only the shard owning the root node filled the box; the
-            # result must agree everywhere for replicated host code
-            boxes = shard.allgather("rt.box", box)
-            filled = [b for b in boxes if b]
-            if filled:
-                box = filled[0]
         if "result" not in box:
             raise SimulationError(
                 "root thread never completed (deadlock or starvation?)"

@@ -75,23 +75,11 @@ class NodeScheduler(abc.ABC):
 
     # -- policy (shared) ------------------------------------------------
     def pick_victim(self) -> int | None:
-        shard = self.rt.machine.shard
-        if shard is None:
-            lo, n = 0, self.rt.machine.n_nodes
-        else:
-            # Partitioned runs steal shard-locally: victims' queues live
-            # in the owning worker's process, so cross-shard stealing
-            # has no serializable mechanism — and clustered steal
-            # domains are themselves a faithful model of a partitioned
-            # machine. Same randrange call shape over the local index
-            # space, so a 1-shard run draws exactly the serial stream.
-            lo, hi = shard.lo, shard.hi
-            n = hi - lo
+        n = self.rt.machine.n_nodes
         if n <= 1:
             return None
-        me = self.node - lo
         v = self.rng.randrange(n - 1)
-        return lo + (v if v < me else v + 1)
+        return v if v < self.node else v + 1
 
     def idle_step(self) -> Generator | None:
         """Installed as the processor's idle hook: one attempt to find

@@ -147,25 +147,6 @@ class ExperimentExecutor:
                     "mono": time.monotonic(),
                     "cached": bool(event.get("cached")),
                 })
-            elif event["event"] == "partition_window":
-                # per-shard progress from a partitioned run: stream it
-                # through the same SSE channel (and cancellation probe)
-                # without advancing the point tally
-                if should_cancel():
-                    raise JobCancelled()
-                progress({
-                    **tally,
-                    "point": f"window {event['windows']} "
-                             f"(shards {event['shards']}, "
-                             f"cycle {event['min_now']})",
-                    "partition": {
-                        "windows": event["windows"],
-                        "shards": event["shards"],
-                        "min_now": event["min_now"],
-                        "max_now": event["max_now"],
-                    },
-                })
-                return
             if should_cancel():
                 raise JobCancelled()
             progress({**tally, "point": event.get("label")})

@@ -396,60 +396,13 @@ class Simulator:
             self.now = max(self.now, until)
         return self.now
 
-    def run_window(self, until: int) -> int:
-        """Drain every event with ``time <= until`` and return.
-
-        The bounded-lag primitive for partitioned runs (see
-        :mod:`repro.perf.partition`): same inlined dispatch as the
-        unconditioned drain in :meth:`run`, stopping at the window
-        edge. Unlike ``run(until=...)`` the clock is *not* bumped to
-        ``until`` — it stays at the last fired event, so the global
-        maximum over shards equals the serial engine's final ``now``.
-        Daemon events inside the window fire (the window bound already
-        caps how far they can self-reschedule); callers who need
-        serial daemon semantics must not partition observed runs.
-        Cyclic GC is left alone — the partition worker disables it
-        once around the whole session instead of toggling per window.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
-        n = 0
-        try:
-            while times and times[0] <= until:
-                t = times[0]
-                bucket = buckets[t]
-                while bucket:
-                    item = bucket.popleft()
-                    if item.__class__ is _Event:
-                        if item.cancelled:
-                            continue
-                        self.now = t
-                        n += 1
-                        item.fired = True
-                        item.fn()
-                    else:
-                        self.now = t
-                        n += 1
-                        item()
-                heappop(times)
-                del buckets[t]
-        finally:
-            self._live -= n
-            self.events_processed += n
-            self._running = False
-        return self.now
-
     def next_model_time(self):
         """Time of the next live *model* event, or None when the queue
-        holds nothing but daemon (observer) events — which must not
-        keep a partitioned run alive, exactly as they cannot keep
-        :meth:`run` alive. (The returned time may itself belong to a
-        daemon event when model work remains elsewhere; that is a
-        conservative — never late — window start.)"""
+        holds nothing but daemon (observer) events, which cannot keep
+        :meth:`run` alive either. A driver that steps the machine one
+        time bucket at a time (the coherence explorer) passes it to
+        ``run(until=...)``. (The returned time may itself belong to a
+        daemon event when model work remains elsewhere.)"""
         if self._live <= self._daemons:
             return None
         return self._next_time()

@@ -30,6 +30,9 @@ from repro.serve.store import RunStore
 
 POLL = 0.005
 
+#: the smallest real experiment spec (2 sweep points)
+TINY_SPEC = {"experiment": "fig8", "params": {"block_sizes": [64]}}
+
 
 def _spin_until(predicate, timeout=10.0):
     deadline = time.monotonic() + timeout
@@ -323,6 +326,34 @@ class TestRestartRecovery:
         assert rec["state"] == "done"
         assert rec["progress"]["done"] == rec["progress"]["total"] == 2
         assert rec["submitted_at"] <= rec["started_at"] <= rec["finished_at"]
+
+    def test_journaled_partitions_job_fails_cleanly(self, tmp_path):
+        """An older daemon accepted a ``partitions`` spec key (split a
+        run across shard processes). Simulation is serial now, so a
+        journaled job carrying it must fail on replay with an error
+        naming the key, and the daemon must go on serving."""
+        from repro.serve.executor import ExperimentExecutor
+
+        path = tmp_path / "journal.jsonl"
+        old_spec = {"experiment": "fig11", "quick": True, "partitions": 2}
+        JobJournal(path).record(
+            "submitted", job="old", key="0" * 64, spec=old_spec,
+            spec_hash=spec_hash(old_spec),
+        )
+        orch = JobOrchestrator(
+            ExperimentExecutor(), RunStore(tmp_path / "store"), workers=1,
+            journal=JobJournal(path),
+        )
+        assert orch.recover()["requeued"] == 1
+        orch.start()
+        try:
+            old = orch.wait("old", timeout=60.0)
+            assert old.state == FAILED
+            assert "partitions" in old.error
+            fresh = orch.submit(TINY_SPEC)
+            assert orch.wait(fresh.id, timeout=60.0).state == DONE
+        finally:
+            orch.shutdown(drain=False, timeout=10.0)
 
     def test_recover_without_journal_is_a_noop(self, tmp_path):
         orch = JobOrchestrator(FakeExecutor(), RunStore(tmp_path / "s"))

@@ -70,6 +70,7 @@ class TestExecutorSpec:
             {"experiment": "fig8", "wat": 1},
             {"experiment": "fig8", "check": ["notachecker"]},
             {"experiment": "fig8", "sample_interval": -1},
+            {"experiment": "fig11", "partitions": 2},  # simulation is serial
         ):
             with pytest.raises(ValueError):
                 ex.key_for(spec)
