@@ -6,7 +6,11 @@ root so every PR leaves a perf trajectory behind:
 1. **Workload events/sec** — a fixed jacobi + memcpy + barrier
    workload through the full machine model (coherence, network,
    processors), reporting simulator events *and* simulated cycles per
-   wall-clock second.
+   wall-clock second, plus events/sec calibrated to a reference host
+   speed: perfbench's calibration slices (``perfbench/calibrate.py``,
+   a fixed loop that uses nothing from the package) are timed between
+   the workload's parts, and the best rate is divided by
+   ``calibration_factor`` (``REFERENCE_S / median slice``).
 2. **Macro-vs-micro ablation** — the same workload with macro-effects
    (``ComputeLoad`` / ``LoadComputeStore`` / ``StoreRun`` /
    ``SpinUntilGE`` batches) as written, and with every thread wrapped
@@ -29,11 +33,12 @@ CI regression gate::
 
     python benchmarks/wallclock.py --check BENCH_wallclock.json
 
-re-measures (1)-(3) and exits non-zero if workload events/sec fell
-more than 25% below the committed baseline, if the macro/micro
-ablation diverges in events or simulated cycles, or if the parallel
-sweep fails to reach 1.0x speedup / diverges from serial (auto-skipped
-on 1-cpu hosts). ``REPRO_BENCH_JOBS`` overrides the job count when
+re-measures (1)-(3) and exits non-zero if calibrated workload
+events/sec fell more than 25% below the baseline's calibrated rate (so
+the gate compares the program, not the host's speed of the moment),
+if the macro/micro ablation diverges in events or simulated cycles, or
+if the parallel sweep fails to reach 1.0x speedup / diverges from
+serial (auto-skipped on 1-cpu hosts). ``REPRO_BENCH_JOBS`` overrides the job count when
 ``--jobs`` is not given.
 """
 
@@ -50,7 +55,9 @@ from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT / "perfbench"))
 
+from calibrate import Calibration, factor  # noqa: E402
 from repro.experiments import ALL_EXPERIMENTS  # noqa: E402
 from repro.perf.sweep import default_jobs  # noqa: E402
 
@@ -149,16 +156,26 @@ def _wl_barrier(macro: bool = True) -> tuple[int, int]:
 
 
 def workload_bench(repeats: int = 2, macro: bool = True) -> dict:
+    """Best of ``repeats`` timed passes, with two calibration slices
+    before each part of every pass and after the last, so the host
+    speed is sampled all through the measurement."""
+    cal = Calibration()
     best = None
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        parts = [_wl_jacobi(macro), _wl_memcpy(macro), _wl_barrier(macro)]
-        wall = time.perf_counter() - t0
+        wall = 0.0
+        parts = []
+        for part in (_wl_jacobi, _wl_memcpy, _wl_barrier):
+            cal.take(2)
+            t0 = time.perf_counter()
+            parts.append(part(macro))
+            wall += time.perf_counter() - t0
+        cal.take(2)
         if best is None or wall < best[2]:
             events = sum(p[0] for p in parts)
             cycles = sum(p[1] for p in parts)
             best = (events, cycles, wall)
     events, cycles, wall = best
+    speed = factor(cal.slices)
     return {
         "workload": "jacobi(64x64, sm+mp) + memcpy(4KB, 3 impls) + barrier(64p, sm+mp)",
         "macro": macro,
@@ -167,6 +184,8 @@ def workload_bench(repeats: int = 2, macro: bool = True) -> dict:
         "wall_sec": round(wall, 3),
         "events_per_sec": round(events / wall),
         "sim_cycles_per_sec": round(cycles / wall),
+        "calibration_factor": round(speed, 4),
+        "calibrated_events_per_sec": round(events / (wall * speed)),
     }
 
 
@@ -273,7 +292,7 @@ def sweep_bench(jobs: int) -> dict:
 # ----------------------------------------------------------------------
 def measure(jobs: int, quick: bool, skip_sweep: bool = False) -> dict:
     out = {
-        "schema": 4,
+        "schema": 5,
         "host": {
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
@@ -294,14 +313,17 @@ def measure(jobs: int, quick: bool, skip_sweep: bool = False) -> dict:
 
 def check_against(baseline_path: Path, measured: dict, tolerance: float = 0.25) -> int:
     baseline = json.loads(baseline_path.read_text())
-    base_eps = baseline["workload"]["events_per_sec"]
-    got_eps = measured["workload"]["events_per_sec"]
+    base_eps = baseline["workload"]["calibrated_events_per_sec"]
+    got = measured["workload"]
+    got_eps = got["calibrated_events_per_sec"]
     floor = base_eps * (1 - tolerance)
-    print(f"workload events/sec: baseline={base_eps:,} measured={got_eps:,} "
-          f"floor(-{tolerance:.0%})={floor:,.0f}")
+    print(f"calibrated workload events/sec: baseline={base_eps:,} "
+          f"measured={got_eps:,} floor(-{tolerance:.0%})={floor:,.0f} "
+          f"(raw {got['events_per_sec']:,}, calibration factor "
+          f"{got['calibration_factor']})")
     failed = False
     if got_eps < floor:
-        print("FAIL: events/sec regressed more than "
+        print("FAIL: calibrated events/sec regressed more than "
               f"{tolerance:.0%} vs the committed baseline")
         failed = True
     abl = measured["macro_ablation"]
@@ -343,8 +365,8 @@ def main(argv: list[str] | None = None) -> int:
                     "workload, ablation and parallel-sweep measurements")
     ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
                     help="compare against a committed baseline JSON and exit "
-                    "non-zero on >25%% events/sec regression (implies "
-                    "--skip-sweep; does not overwrite the baseline)")
+                    "non-zero on >25%% calibrated events/sec regression "
+                    "(implies --skip-sweep; does not overwrite the baseline)")
     args = ap.parse_args(argv)
     # REPRO_BENCH_JOBS lets CI pin the bench fan-out without touching
     # the command line (the same workflow runs on differently-sized

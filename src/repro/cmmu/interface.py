@@ -67,8 +67,9 @@ class Cmmu:
         self.store = store
         self.p = params or CmmuParams()
         self.dma = Resource(sim, f"dma{node}")
-        #: messages that have arrived but not yet been dispatched
-        self.in_queue: deque[Message] = deque()
+        #: messages that have arrived but not yet been dispatched (None,
+        #: read as empty, until the first arrives; see Processor.ready)
+        self.in_queue: deque[Message] | None = None
         #: processor hook: called (with no args) when a message becomes
         #: available for dispatch; the processor decides when to take it
         self.on_message: Callable[[], None] | None = None
@@ -85,7 +86,8 @@ class Cmmu:
                      "dma_transfers", "interrupts_raised", "queued_while_masked"):
             reg.counter(f"cmmu.{name}", lambda n=name: getattr(s, n), **labels)
         reg.counter("cmmu.dma_busy_cycles", lambda: self.dma.total_busy, **labels)
-        reg.gauge("cmmu.in_queue_depth", lambda: len(self.in_queue), **labels)
+        reg.gauge("cmmu.in_queue_depth", lambda: len(self.in_queue or ()),
+                  **labels)
 
     # ------------------------------------------------------------------
     # Send side: describe + launch
@@ -168,6 +170,8 @@ class Cmmu:
         msg = packet.payload
         if not isinstance(msg, Message):  # pragma: no cover - wiring error
             raise SimulationError(f"non-protocol packet without Message: {packet!r}")
+        if self.in_queue is None:
+            self.in_queue = deque()
         self.in_queue.append(msg)
         self.stats.messages_received += 1
         if self.on_message is not None:

@@ -128,9 +128,10 @@ class FaultInjector:
             return None
         net = self.machine.network
         sim = self.machine.sim
+        # only outages and per-link rates look at the route
         route = (
             net.mesh.route(packet.src, packet.dst)
-            if packet.src != packet.dst
+            if (plan.outages or plan.link_rates) and packet.src != packet.dst
             else []
         )
         dead = plan.dead_link(route, sim.now)

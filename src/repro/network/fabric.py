@@ -101,10 +101,11 @@ class Network:
         self.cycles_per_word = 4.0 / bandwidth_bytes_per_cycle
         self.local_loopback_latency = local_loopback_latency
         self.injection_latency = injection_latency
+        #: directed link (a, b) -> its occupancy, in first-use order
         self._links: dict[tuple[int, int], Resource] = {}
         self._sinks: dict[int, DeliverFn] = {}
-        #: per-(src, dst) resolved link Resource chains — route lookup
-        #: and per-hop dict resolution done once, not per packet
+        #: (src, dst) -> the Resource chain of its route, resolved at
+        #: the pair's first send: the fabric's only route memo
         self._route_links: dict[tuple[int, int], list[Resource]] = {}
         #: size_words -> ceil(words * cycles_per_word): protocol packets
         #: come in a handful of fixed sizes, so the per-packet float
@@ -123,13 +124,18 @@ class Network:
             raise SimulationError(f"node {node} already attached")
         self._sinks[node] = sink
 
-    def _link(self, a: int, b: int) -> Resource:
-        key = (a, b)
-        res = self._links.get(key)
-        if res is None:
-            res = Resource(self.sim, name=f"link{a}->{b}")
-            self._links[key] = res
-        return res
+    def _resolve(self, src: int, dst: int) -> list[Resource]:
+        """Route the pair once and memoize its link chain: one
+        ``_links`` lookup per hop, a new link made on first use."""
+        links = self._links
+        chain = []
+        for key in self.mesh.route(src, dst):
+            link = links.get(key)
+            if link is None:
+                link = links[key] = Resource(self.sim)
+            chain.append(link)
+        self._route_links[(src, dst)] = chain
+        return chain
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> int:
@@ -149,7 +155,6 @@ class Network:
         if packet.dst not in self._sinks:
             raise SimulationError(f"no sink attached at node {packet.dst}")
         now = self.sim.now
-        packet.launched_at = now
         if packet.cycles_per_word_override is None:
             body_cycles = self._body_cache.get(packet.size_words)
             if body_cycles is None:
@@ -166,11 +171,7 @@ class Network:
         else:
             links = self._route_links.get((packet.src, packet.dst))
             if links is None:
-                links = [
-                    self._link(a, b)
-                    for a, b in self.mesh.route(packet.src, packet.dst)
-                ]
-                self._route_links[(packet.src, packet.dst)] = links
+                links = self._resolve(packet.src, packet.dst)
             head = now + self.injection_latency
             tail = head
             hop = self.hop_latency
@@ -185,7 +186,6 @@ class Network:
                 tail = start + body_cycles
             arrival = tail
 
-        packet.delivered_at = arrival
         stats = self.stats
         stats.packets += 1
         stats.words += packet.size_words

@@ -78,8 +78,6 @@ class Packet:
     #: limited by the (slower) memory DMA engines at the endpoints
     cycles_per_word_override: float | None = None
     pid: int = field(default_factory=_packet_ids.__next__)
-    launched_at: int = -1
-    delivered_at: int = -1
 
     def __post_init__(self) -> None:
         if self.size_words <= 0:

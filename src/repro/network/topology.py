@@ -39,9 +39,6 @@ class Mesh2D:
         self.n_nodes = n_nodes
         self.width = width
         self.height = n_nodes // width
-        #: memoized routes — routing is a pure function of (src, dst),
-        #: and hot protocol paths re-route the same pairs constantly
-        self._route_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
     def coord(self, node: int) -> Coord:
@@ -55,38 +52,44 @@ class Mesh2D:
         return coord.y * self.width + coord.x
 
     def hops(self, src: int, dst: int) -> int:
-        """Manhattan distance between two nodes."""
-        a, b = self.coord(src), self.coord(dst)
-        return abs(a.x - b.x) + abs(a.y - b.y)
+        """Links on the route from ``src`` to ``dst`` (Manhattan
+        distance on the mesh)."""
+        self._check(src)
+        self._check(dst)
+        w = self.width
+        return (self._ring(src % w, dst % w, w)[1]
+                + self._ring(src // w, dst // w, self.height)[1])
 
     def route(self, src: int, dst: int) -> list[tuple[int, int]]:
         """XY route as a list of directed links ``(from, to)``.
 
-        An empty list means ``src == dst`` (local delivery; no links
-        traversed). Memoized; callers must not mutate the result.
+        One integer walk: X first, then Y, each dimension stepping the
+        way :meth:`_ring` picks. An empty list means ``src == dst``
+        (local delivery; no links traversed). Not memoized: the fabric
+        resolves each pair's links once (``Network.send``).
         """
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        route = self._compute_route(src, dst)
-        self._route_cache[(src, dst)] = route
-        return route
-
-    def _compute_route(self, src: int, dst: int) -> list[tuple[int, int]]:
         self._check(src)
         self._check(dst)
-        links: list[tuple[int, int]] = []
-        cur = self.coord(src)
-        target = self.coord(dst)
-        while cur.x != target.x:
-            nxt = Coord(cur.x + (1 if target.x > cur.x else -1), cur.y)
-            links.append((self.node_at(cur), self.node_at(nxt)))
-            cur = nxt
-        while cur.y != target.y:
-            nxt = Coord(cur.x, cur.y + (1 if target.y > cur.y else -1))
-            links.append((self.node_at(cur), self.node_at(nxt)))
-            cur = nxt
-        return links
+        w, h = self.width, self.height
+        x, y = src % w, src // w
+        x_step, x_hops = self._ring(x, dst % w, w)
+        y_step, y_hops = self._ring(y, dst // w, h)
+        nodes = [src]
+        for _ in range(x_hops):
+            x = (x + x_step) % w
+            nodes.append(y * w + x)
+        for _ in range(y_hops):
+            y = (y + y_step) % h
+            nodes.append(y * w + x)
+        return list(zip(nodes, nodes[1:]))
+
+    @staticmethod
+    def _ring(cur: int, target: int, size: int) -> tuple[int, int]:
+        """``(step, hops)`` from ``cur`` to ``target`` along one
+        dimension of length ``size``: straight, without wraparound."""
+        if target >= cur:
+            return 1, target - cur
+        return -1, cur - target
 
     def neighbors(self, node: int) -> list[int]:
         """Nodes one hop away (2-4 of them depending on position)."""
@@ -115,40 +118,16 @@ class Torus2D(Mesh2D):
     network-sensitivity ablations.
     """
 
-    def hops(self, src: int, dst: int) -> int:
-        a, b = self.coord(src), self.coord(dst)
-        dx = abs(a.x - b.x)
-        dy = abs(a.y - b.y)
-        return min(dx, self.width - dx) + min(dy, self.height - dy)
-
-    def _step_toward(self, cur: int, target: int, size: int) -> int:
-        """Next coordinate along the shorter ring direction."""
+    @staticmethod
+    def _ring(cur: int, target: int, size: int) -> tuple[int, int]:
+        """The shorter way around the ring, forward on a tie
+        (dimension-ordered routing stays deadlock-free with the usual
+        virtual-channel assumption, which our timing model abstracts)."""
         fwd = (target - cur) % size
         back = (cur - target) % size
         if fwd <= back:
-            return (cur + 1) % size
-        return (cur - 1) % size
-
-    def _compute_route(self, src: int, dst: int) -> list[tuple[int, int]]:
-        """Dimension-ordered routing, taking the shorter way around
-        each ring (deadlock-free with the usual virtual-channel
-        assumption, which our timing model abstracts)."""
-        self._check(src)
-        self._check(dst)
-        links: list[tuple[int, int]] = []
-        cur = self.coord(src)
-        target = self.coord(dst)
-        while cur.x != target.x:
-            nx = self._step_toward(cur.x, target.x, self.width)
-            nxt = Coord(nx, cur.y)
-            links.append((self.node_at(cur), self.node_at(nxt)))
-            cur = nxt
-        while cur.y != target.y:
-            ny = self._step_toward(cur.y, target.y, self.height)
-            nxt = Coord(cur.x, ny)
-            links.append((self.node_at(cur), self.node_at(nxt)))
-            cur = nxt
-        return links
+            return 1, fwd
+        return -1, back
 
     def neighbors(self, node: int) -> list[int]:
         """Always four neighbours on a torus (with wraparound)."""

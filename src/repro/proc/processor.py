@@ -105,14 +105,18 @@ class Processor:
         self.store = store
         self.p = params or ProcessorParams()
         self.handlers: dict[str, HandlerFn] = {}
-        self.ready: deque[tuple[Context, Any, bool]] = deque()
+        #: runnable contexts. This, ``_deferred`` and ``Cmmu.in_queue``
+        #: start as None and become deques at their first append (an
+        #: empty deque is 760 B a node), so readers treat None as empty
+        self.ready: deque[tuple[Context, Any, bool]] | None = None
         self.current: Context | None = None
         self.in_handler = False
         self.imask = False
         #: runtime-supplied: return a generator of work to try when
         #: idle, or None to sleep until kicked
         self.idle_hook: Callable[[], Generator | None] | None = None
-        self._deferred: deque[tuple[Context, Any]] = deque()
+        #: completions held back while a handler owns the pipeline
+        self._deferred: deque[tuple[Context, Any]] | None = None
         self._dispatch_pending = False
         #: contexts switched out on a cache miss (Sparcle fast switch);
         #: each occupies one of the hw_contexts - 1 shadow register sets
@@ -157,10 +161,13 @@ class Processor:
         for fn in self.before_enqueue:
             fn(ctx, resumed)
         entry = (ctx, value, resumed)
+        ready = self.ready
+        if ready is None:
+            ready = self.ready = deque()
         if front:
-            self.ready.appendleft(entry)
+            ready.appendleft(entry)
         else:
-            self.ready.append(entry)
+            ready.append(entry)
         self._late_switch_check()
         self._schedule_dispatch()
 
@@ -180,7 +187,7 @@ class Processor:
         for name in ("contexts_run", "handlers_run", "effects", "idle_probes",
                      "busy_cycles", "miss_switches"):
             reg.counter(f"proc.{name}", lambda n=name: getattr(s, n), **labels)
-        reg.gauge("proc.ready_depth", lambda: len(self.ready), **labels)
+        reg.gauge("proc.ready_depth", lambda: len(self.ready or ()), **labels)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -262,12 +269,12 @@ class Processor:
                 return
             # then deferred completions. Route back through _complete
             # (not _step): a deferred context may belong to a stalled
-            # hardware context and must rejoin the ready queue. Drain a
-            # snapshot so re-deferrals (a new interrupt taken by the
-            # first completion) terminate.
-            pending = list(self._deferred)
-            self._deferred.clear()
-            for ctx, value in pending:
+            # hardware context and must rejoin the ready queue. Drain
+            # the queue as it stands, so re-deferrals (a new interrupt
+            # taken by the first completion) start a new one and
+            # terminate.
+            pending, self._deferred = self._deferred, None
+            for ctx, value in pending or ():
                 self._complete(ctx, value)
             self._schedule_dispatch()
 
@@ -288,10 +295,10 @@ class Processor:
         ctx.miss_pending = False
         if not ctx.is_handler:
             if self.in_handler:
-                self._deferred.append((ctx, value))
+                self._defer(ctx, value)
                 return
             if self.cmmu.in_queue and not self.imask:
-                self._deferred.append((ctx, value))
+                self._defer(ctx, value)
                 self._enter_handler()
                 return
             if ctx in self._stalled:
@@ -299,6 +306,11 @@ class Processor:
                 self._enqueue_ready(ctx, value, True)
                 return
         self._step(ctx, value)
+
+    def _defer(self, ctx: Context, value: Any) -> None:
+        if self._deferred is None:
+            self._deferred = deque()
+        self._deferred.append((ctx, value))
 
     def _step(self, ctx: Context, send_value: Any) -> None:
         # _step, _execute and CoherenceEngine.access test a probe tuple
@@ -464,6 +476,8 @@ class Processor:
         if ctx.is_handler:
             raise SimulationError("Yield inside a message handler")
         self.current = None
+        if self.ready is None:
+            self.ready = deque()
         self.ready.append((ctx, None, False))
         self.sim.call_after(1, self._schedule_dispatch)
 

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.network.topology as topology
+from repro.faults import FaultInjector, lossy_plan
+from repro.machine import Machine, MachineConfig
 from repro.network import Mesh2D, Network, Packet, PacketKind
+from repro.network.topology import Coord, Torus2D
+from repro.proc import Compute, Send
+from repro.runtime import MPTreeBarrier
 from repro.sim import SimulationError, Simulator
 
 
@@ -72,6 +78,106 @@ class TestMesh2D:
             for (a, b), (c, d) in zip(route, route[1:]):
                 assert b == c
                 assert m.hops(a, b) == 1
+
+
+def _reference_step(cur, target, size, torus):
+    if not torus:
+        return cur + (1 if target > cur else -1)
+    fwd = (target - cur) % size
+    back = (cur - target) % size
+    if fwd <= back:
+        return (cur + 1) % size
+    return (cur - 1) % size
+
+
+def _reference_route(mesh, src, dst):
+    """The earlier Coord-based router, kept as the oracle: one Coord
+    per hop, and on a torus a fresh shorter-way decision at each step
+    (forward on a tie)."""
+    torus = isinstance(mesh, Torus2D)
+    w, h = mesh.width, mesh.height
+    links = []
+    cur = Coord(src % w, src // w)
+    target = Coord(dst % w, dst // w)
+    while cur.x != target.x:
+        nxt = Coord(_reference_step(cur.x, target.x, w, torus), cur.y)
+        links.append((cur.y * w + cur.x, nxt.y * w + nxt.x))
+        cur = nxt
+    while cur.y != target.y:
+        nxt = Coord(cur.x, _reference_step(cur.y, target.y, h, torus))
+        links.append((cur.y * w + cur.x, nxt.y * w + nxt.x))
+        cur = nxt
+    return links
+
+
+@pytest.mark.parametrize("topo", [Mesh2D, Torus2D])
+@pytest.mark.parametrize("n, width", [
+    (1, None), (2, None), (6, 3), (8, 2), (12, 3), (12, 4), (16, 8),
+    (64, None), (256, None), (1024, None),
+])
+def test_routes_match_reference(topo, n, width):
+    """The integer walk routes every pair as the Coord walk did; at
+    1024 nodes, 30 sources spread over every row to every destination."""
+    mesh = topo(n, width)
+    sources = range(0, n, 35) if n == 1024 else range(n)
+    for src in sources:
+        for dst in range(n):
+            route = mesh.route(src, dst)
+            assert route == _reference_route(mesh, src, dst), (src, dst)
+            assert mesh.hops(src, dst) == len(route)
+
+
+def test_send_path_builds_no_coord(monkeypatch):
+    """Routing and sending never construct a coordinate object."""
+    def no_coord(*args):
+        raise AssertionError("Coord built on the send path")
+
+    monkeypatch.setattr(topology, "Coord", no_coord)
+    m = Machine(MachineConfig(n_nodes=64))
+    barrier = MPTreeBarrier(m, fanout=8)
+    left = []
+
+    def participant(node):
+        for _ in range(2):
+            yield from barrier.enter(node)
+            yield Compute(1)
+        left.append(node)
+
+    for node in range(64):
+        m.processor(node).run_thread(participant(node))
+    m.run()
+    assert sorted(left) == list(range(64))
+
+
+def test_pair_routed_once(monkeypatch):
+    """A pair is routed at its first injected send and never again: the
+    fabric keeps its link chain, and a drop-only fault plan reads no
+    route."""
+    calls = []
+    route = Mesh2D.route
+
+    def spy(self, src, dst):
+        calls.append((src, dst))
+        return route(self, src, dst)
+
+    monkeypatch.setattr(Mesh2D, "route", spy)
+    m = Machine(MachineConfig(n_nodes=16))
+
+    def handler(msg):
+        yield Compute(1)
+
+    m.processor(5).register_handler("ping", handler)
+    FaultInjector(m, lossy_plan(0.5, seed=3))
+
+    def sender():
+        for i in range(10):
+            yield Send(5, "ping", operands=(i,))
+            yield Compute(25)
+
+    m.processor(0).run_thread(sender())
+    m.run()
+    assert 0 < m.network.stats.dropped < 10
+    assert calls == [(0, 5)]
 
 
 class TestPacket:

@@ -227,6 +227,33 @@ class TestMessaging:
         run_to_end(m, {0: sender()})
         assert got == [(0, (7, 8))]
 
+    def test_queues_made_at_first_use(self):
+        """Per-node queues are None until something is queued, and the
+        depth gauges read None as empty."""
+        from repro.obs.metrics import collect_machine
+
+        m = small_machine()
+        procs = [m.processor(n) for n in range(4)]
+        assert all(p.ready is None and p._deferred is None for p in procs)
+        assert all(p.cmmu.in_queue is None for p in procs)
+
+        def handler(msg):
+            yield Compute(1)
+
+        m.processor(2).register_handler("ping", handler)
+
+        def sender():
+            yield Send(2, "ping")
+
+        run_to_end(m, {0: sender()})
+        assert procs[0].ready is not None and procs[1].ready is None
+        assert procs[2].cmmu.in_queue is not None
+        assert procs[3].cmmu.in_queue is None
+        snap = collect_machine(m)
+        for n in range(4):
+            assert snap.value("proc.ready_depth", node=n) == 0
+            assert snap.value("cmmu.in_queue_depth", node=n) == 0
+
     def test_send_is_nonblocking_after_launch(self):
         m = small_machine()
 
