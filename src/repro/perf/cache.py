@@ -81,8 +81,9 @@ _PICKLE_PROTO = 4
 # Code fingerprinting: static import closure over the repro package
 # ----------------------------------------------------------------------
 _PATHS: dict[str, str | None] = {}
-_SRC_HASH: dict[str, tuple[tuple[int, int], str]] = {}
-_IMPORTS: dict[str, tuple[tuple[int, int], frozenset[str]]] = {}
+#: source path -> ((mtime_ns, size), SHA-256, the ``repro`` modules it
+#: imports, or None until a caller that knows its module name asks)
+_SOURCES: dict[str, tuple[tuple[int, int], str, frozenset[str] | None]] = {}
 
 
 def _module_path(modname: str) -> str | None:
@@ -99,20 +100,24 @@ def _module_path(modname: str) -> str | None:
     return path
 
 
-def _stat_key(path: str) -> tuple[int, int]:
+def _source(
+    path: str, modname: str | None = None
+) -> tuple[str, frozenset[str] | None]:
+    """SHA-256 of a source file and, given the name it is imported
+    under, the ``repro`` modules it imports. One ``os.stat`` per call:
+    both are memoized by (mtime_ns, size) and re-read on any change."""
     st = os.stat(path)
-    return (st.st_mtime_ns, st.st_size)
-
-
-def _source_hash(path: str) -> str:
-    """SHA-256 of a source file, memoized by (mtime_ns, size)."""
-    key = _stat_key(path)
-    cached = _SRC_HASH.get(path)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    _SRC_HASH[path] = (key, digest)
-    return digest
+    key = (st.st_mtime_ns, st.st_size)
+    cached = _SOURCES.get(path)
+    if cached is not None and cached[0] == key and (
+        modname is None or cached[2] is not None
+    ):
+        return cached[1], cached[2]
+    source = Path(path).read_bytes()
+    imports = None if modname is None else _imports_of(modname, path, source)
+    digest = hashlib.sha256(source).hexdigest()
+    _SOURCES[path] = (key, digest, imports)
+    return digest, imports
 
 
 def _with_ancestors(modname: str) -> list[str]:
@@ -120,15 +125,12 @@ def _with_ancestors(modname: str) -> list[str]:
     return [".".join(parts[: i + 1]) for i in range(len(parts))]
 
 
-def _imports_of(modname: str, path: str) -> frozenset[str]:
-    """``repro.*`` modules statically imported by one source file."""
-    key = _stat_key(path)
-    cached = _IMPORTS.get(path)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+def _imports_of(modname: str, path: str, source: bytes) -> frozenset[str]:
+    """``repro.*`` modules statically imported by one source file;
+    relative imports resolve against ``modname``."""
     out: set[str] = set()
     try:
-        tree = ast.parse(Path(path).read_text())
+        tree = ast.parse(source)
     except SyntaxError:
         tree = ast.Module(body=[], type_ignores=[])
     is_pkg = os.path.basename(path) == "__init__.py"
@@ -155,15 +157,14 @@ def _imports_of(modname: str, path: str) -> frozenset[str]:
                 candidate = f"{base}.{alias.name}"
                 if _module_path(candidate) is not None:
                     out.add(candidate)
-    found = frozenset(out)
-    _IMPORTS[path] = (key, found)
-    return found
+    return frozenset(out)
 
 
-def import_closure(modname: str) -> dict[str, str]:
-    """The point module plus its transitive ``repro`` imports, as
-    ``{module: source-path}`` (unresolvable modules are skipped)."""
-    seen: dict[str, str] = {}
+def _closure(modname: str) -> dict[str, tuple[str, str]]:
+    """``{module: (source path, digest)}`` over the point module and
+    its transitive ``repro`` imports, one stat per module
+    (unresolvable modules are skipped)."""
+    seen: dict[str, tuple[str, str]] = {}
     stack = [modname]
     while stack:
         mod = stack.pop()
@@ -172,23 +173,26 @@ def import_closure(modname: str) -> dict[str, str]:
         path = _module_path(mod)
         if path is None:
             continue
-        seen[mod] = path
-        for dep in _imports_of(mod, path):
-            if dep not in seen:
-                stack.append(dep)
+        digest, imports = _source(path, mod)
+        seen[mod] = (path, digest)
+        stack.extend(dep for dep in imports if dep not in seen)
     return seen
+
+
+def import_closure(modname: str) -> dict[str, str]:
+    """The point module plus its transitive ``repro`` imports, as
+    ``{module: source-path}`` (unresolvable modules are skipped)."""
+    return {mod: path for mod, (path, _) in _closure(modname).items()}
 
 
 def code_fingerprint(modname: str) -> str:
     """Fingerprint of ``modname`` and everything it could reach inside
     the ``repro`` package; changes iff any of that source changes."""
-    closure = import_closure(modname)
+    closure = _closure(modname)
     if not closure:
         return f"unresolved:{modname}"
-    h = hashlib.sha256()
-    for mod in sorted(closure):
-        h.update(f"{mod}={_source_hash(closure[mod])}\n".encode())
-    return h.hexdigest()
+    lines = "".join(f"{mod}={closure[mod][1]}\n" for mod in sorted(closure))
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def repo_fingerprint() -> str:
@@ -199,7 +203,7 @@ def repo_fingerprint() -> str:
     root = Path(repro.__file__).parent
     h = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
-        h.update(f"{path.relative_to(root)}={_source_hash(str(path))}\n".encode())
+        h.update(f"{path.relative_to(root)}={_source(str(path))[0]}\n".encode())
     return h.hexdigest()
 
 

@@ -19,16 +19,19 @@ Startup/shutdown contract (``alewife-repro serve``):
    from the previous process re-queue, interrupted runs are marked);
    start the workers;
 2. serve until SIGINT/SIGTERM;
-3. graceful shutdown: stop accepting HTTP, then
-   ``orchestrator.shutdown(drain=True)`` — in-flight jobs finish and
-   publish, queued jobs stay queued *and journaled*, so the next
-   daemon on this store picks them up exactly where this one stopped.
+3. graceful shutdown: stop accepting HTTP (no new connection, and no
+   new request on a kept-alive one; a response in flight, such as an
+   SSE stream, completes), then ``orchestrator.shutdown(drain=True)``
+   — in-flight jobs finish and publish, queued jobs stay queued *and
+   journaled*, so the next daemon on this store picks them up exactly
+   where this one stopped.
 """
 
 from __future__ import annotations
 
 import logging
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,10 +75,13 @@ def configure_logging(
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
-    # buffered writes: ``handle_one_request`` flushes once per response
-    # and ``_send_stream`` once per chunk, so each leaves in one write
-    # and a kept-alive connection never waits on Nagle's algorithm for
-    # the client's delayed ACK
+    # TCP_NODELAY on each accepted socket: no write waits on Nagle's
+    # algorithm for the client's delayed ACK (about 40 ms on a
+    # kept-alive connection, for an SSE chunk or a body larger than the
+    # write buffer). Writes stay buffered: ``handle_one_request``
+    # flushes once per response and ``_send_stream`` once per chunk, so
+    # a small response still leaves in one write.
+    disable_nagle_algorithm = True
     wbufsize = -1
 
     # http.server's own request lines (and errors) go to the leveled
@@ -156,6 +162,32 @@ class ServeServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], app: ServeApp) -> None:
         super().__init__(address, _Handler)
         self.app = app
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._connections_lock:
+            self._connections.discard(request)
+
+    def server_close(self) -> None:
+        """Stop listening, and stop reading from every kept-alive
+        connection: an idle one ends now (its handler thread reads end
+        of file), and a response in flight, such as an SSE stream,
+        still completes before its connection ends."""
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
     @property
     def port(self) -> int:

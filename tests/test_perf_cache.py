@@ -77,6 +77,24 @@ class TestFingerprint:
     def test_unresolvable_module_gets_sentinel(self):
         assert code_fingerprint("no.such.module") == "unresolved:no.such.module"
 
+    def test_warm_fingerprint_stats_each_source_once(self, monkeypatch):
+        # one memo record per file holds both its digest and its
+        # imports, so a warm fingerprint costs one stat per module
+        mod = "repro.experiments.fig8_accum"
+        closure = import_closure(mod)
+        code_fingerprint(mod)
+        stats = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        code_fingerprint(mod)
+        monkeypatch.undo()
+        assert sorted(stats) == sorted(closure.values())
+
 
 def _write_module(path, body, bump_ns):
     path.write_text(body)

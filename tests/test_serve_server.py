@@ -6,8 +6,10 @@ run store (dedup counter increments, no worker-pool dispatch)."""
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
+import sys
 import threading
 import time
 from urllib.parse import urlsplit
@@ -169,6 +171,7 @@ def service(tmp_path_factory):
     thread.start()
     client = ServeClient(f"http://127.0.0.1:{server.port}")
     yield app, client
+    client.close()
     server.shutdown()
     server.server_close()
     app.orchestrator.shutdown(drain=False, timeout=30.0)
@@ -409,3 +412,236 @@ class TestMalformedContentLength:
         assert reply.startswith(b"HTTP/1.1 411 ")
         assert b"Connection: close" in reply
         assert reply.count(b"HTTP/1.1 ") == 1
+
+
+# ----------------------------------------------------------------------
+# Kept-alive connections
+# ----------------------------------------------------------------------
+def _count_connections(monkeypatch) -> list:
+    """Record the address of every TCP connection opened from now on."""
+    opened = []
+    real = socket.create_connection
+
+    def create_connection(address, *args, **kwargs):
+        opened.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    return opened
+
+
+def _serve(app: ServeApp, port: int = 0) -> ServeServer:
+    server = ServeServer(("127.0.0.1", port), app)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _stop(server: ServeServer) -> None:
+    """Stop the server as the daemon stops, and wait until its
+    kept-alive connections have ended."""
+    server.shutdown()
+    server.server_close()
+    server.app.orchestrator.journal.close()
+    deadline = time.monotonic() + 5.0
+    while server._connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not server._connections
+
+
+class TestKeptAliveConnections:
+    def test_kept_alive_stream_and_large_body_do_not_stall(self, service):
+        # with TCP_NODELAY neither an SSE stream nor a body larger than
+        # the handler's write buffer waits for the client's delayed ACK
+        # (about 40 ms each under Nagle's algorithm)
+        _, client = service
+        job = client.wait(client.submit(TINY_SPEC)["id"], timeout=120.0)
+        url = urlsplit(client.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", f"/v1/jobs/{job['id']}/events")
+                assert b"event: done" in conn.getresponse().read()
+                conn.request("GET", f"/v1/jobs/{job['id']}/artifacts/run.json")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert len(resp.read()) > io.DEFAULT_BUFFER_SIZE
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.2
+
+    def test_client_reuses_one_connection(self, service, monkeypatch):
+        _, client = service
+        opened = _count_connections(monkeypatch)
+        own = ServeClient(client.base_url)
+        try:
+            job = own.submit(TINY_SPEC)
+            own.wait(job["id"], timeout=120.0)
+            assert own.artifacts(job["id"])["artifacts"]
+            for name in ("run.json", "report.txt", "table.json"):
+                assert own.fetch(job["id"], name)
+        finally:
+            own.close()
+        assert len(opened) == 1
+
+    def test_client_reconnects(self, service, tmp_path, monkeypatch):
+        _, client = service
+        opened = _count_connections(monkeypatch)
+        own = ServeClient(client.base_url)
+        big = {"experiment": "fig8", "params": {"pad": "x" * MAX_BODY_BYTES}}
+        try:
+            # an answer that says `Connection: close` drops the connection
+            assert own.health()["status"] == "ok"
+            with pytest.raises(ServeError) as exc:
+                own.submit(big)
+            assert exc.value.status == 413
+            assert own.health()["status"] == "ok"
+            assert len(opened) == 2
+            # the daemon may answer and close before the client has sent
+            # the whole body, which then fails to send: the 413 is still
+            # the answer
+            real_send = http.client.HTTPConnection.send
+
+            def send(conn, data):
+                if len(data) > MAX_BODY_BYTES:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return real_send(conn, data)
+
+            monkeypatch.setattr(http.client.HTTPConnection, "send", send)
+            with pytest.raises(ServeError) as exc:
+                own.submit(big)
+            assert exc.value.status == 413
+            monkeypatch.setattr(http.client.HTTPConnection, "send", real_send)
+            assert own.health()["status"] == "ok"
+            assert len(opened) == 3
+        finally:
+            own.close()
+
+        # a daemon restarted on the same port is reached again: the
+        # stopped daemon ended the kept-alive connection, so it is
+        # replaced and the request sent once more
+        first = _serve(build_app(store_dir=tmp_path / "a", cache_dir=tmp_path / "c"))
+        own = ServeClient(f"http://127.0.0.1:{first.port}")
+        try:
+            assert own.health()["status"] == "ok"
+            _stop(first)
+            restarted = build_app(store_dir=tmp_path / "b", cache_dir=tmp_path / "c")
+            job = restarted.orchestrator.submit(TINY_SPEC)  # no workers: stays queued
+            second = _serve(restarted, first.port)
+            try:
+                assert own.status(job.id)["state"] == "queued"
+            finally:
+                _stop(second)
+        finally:
+            own.close()
+        assert len(opened) == 5
+
+    def test_stream_in_flight_outlives_server_close(self, tmp_path):
+        # closing the server stops it reading requests, not answering
+        # them: a stream it is sending still ends with the terminal event
+        app = build_app(store_dir=tmp_path / "store", cache_dir=tmp_path / "cache")
+        server = _serve(app)
+        own = ServeClient(f"http://127.0.0.1:{server.port}")
+        events: list[str] = []
+        try:
+            job = own.submit(TINY_SPEC)  # no worker runs it yet
+            follower = threading.Thread(target=lambda: events.extend(
+                e["event"] for e in own.events(job["id"])))
+            follower.start()
+            deadline = time.monotonic() + 10.0
+            while "submitted" not in events and time.monotonic() < deadline:
+                time.sleep(0.01)
+            server.shutdown()
+            server.server_close()
+            app.orchestrator.start()
+            follower.join(timeout=60.0)
+            assert not follower.is_alive()
+        finally:
+            own.close()
+            app.orchestrator.shutdown(drain=False, timeout=30.0)
+            app.orchestrator.journal.close()
+        assert events[0] == "snapshot" and events[-1] == "done"
+
+    def test_stream_abandoned_or_nested(self, service):
+        _, client = service
+        job = client.wait(client.submit(TINY_SPEC)["id"], timeout=120.0)
+        own = ServeClient(client.base_url)
+        try:
+            # leaving a stream early closes its connection mid-body
+            for event in own.events(job["id"]):
+                assert event["event"] == "snapshot"
+                break
+            assert own.status(job["id"])["state"] == "done"
+            # a call inside the loop does not touch the stream's connection
+            seen = [(e["event"], own.status(job["id"])["state"])
+                    for e in own.events(job["id"])]
+            assert seen[0] == ("snapshot", "done")
+            assert seen[-1] == ("done", "done")
+            assert own.status(job["id"])["state"] == "done"
+        finally:
+            own.close()
+
+    def test_client_shared_by_threads(self, service, monkeypatch):
+        _, client = service
+        job = client.submit(TINY_SPEC)
+        opened = _count_connections(monkeypatch)
+        own = ServeClient(client.base_url)
+        answers, errors = [], []
+
+        def poll() -> None:
+            try:
+                for _ in range(20):
+                    answers.append(own.status(job["id"])["id"])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=poll) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            own.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answers == [job["id"]] * 80
+        assert 1 <= len(opened) <= 4
+
+
+def test_stream_cut_mid_chunk_is_oserror():
+    # a transport failure reaches the CLI's `... failed:` handler as an
+    # OSError, never as http.client's IncompleteRead
+    first = b'event: snapshot\ndata: {"event": "snapshot"}\n\n'
+    second = b'event: progress\ndata: {"event": "progress"}\n\n'
+    reply = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n" % len(first) + first + b"\r\n"
+        + b"%x\r\n" % len(second) + second[: len(second) // 2]
+    )
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve_one() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(4096)
+                conn.sendall(reply)
+
+        thread = threading.Thread(target=serve_one, daemon=True)
+        thread.start()
+        client = ServeClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=5.0
+        )
+        events = []
+        with pytest.raises(OSError):
+            for event in client.events("job"):
+                events.append(event)
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert events == [{"event": "snapshot"}]
