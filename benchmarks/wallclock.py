@@ -12,8 +12,8 @@ root so every PR leaves a perf trajectory behind:
    the workload's parts, and the best rate is divided by
    ``calibration_factor`` (``REFERENCE_S / median slice``).
 2. **Macro-vs-micro ablation** — the same workload with macro-effects
-   (``ComputeLoad`` / ``LoadComputeStore`` / ``StoreRun`` /
-   ``SpinUntilGE`` batches) as written, and with every thread wrapped
+   (``ComputeLoad`` / ``LoadComputeStore`` / ``StoreRun`` / ``Poll``
+   batches) as written, and with every thread wrapped
    in ``repro.proc.effects.expand`` (each macro-effect replaced by its
    micro program). Event counts and simulated cycles must be identical
    (the batch runners chain per-element events); only the wall clock

@@ -12,6 +12,7 @@ Run:  python examples/heat_diffusion.py
 import numpy as np
 
 from repro import Machine, MachineConfig
+from repro.analysis.metrics import cycles_to_usec
 from repro.apps.jacobi import JacobiApp, initial_grid, reference_jacobi
 
 GRID = 64
@@ -27,7 +28,7 @@ def main() -> None:
         app = JacobiApp(m, grid_size=GRID, iters=ITERS, mode=mode)
         grid, cycles = app.run()
         np.testing.assert_allclose(grid, ref, rtol=1e-12, atol=1e-12)
-        usec = m.config.cycles_to_usec(cycles)
+        usec = cycles_to_usec(cycles)
         print(
             f"  {label:>15} exchange: {app.cycles_per_iteration(cycles):>7,.0f} "
             f"cycles/iter ({usec:,.0f} usec total) — matches numpy exactly"

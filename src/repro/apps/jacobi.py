@@ -22,7 +22,9 @@ numpy reference (see tests).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator
 
 import numpy as np
@@ -31,7 +33,7 @@ from repro.machine.machine import Machine
 from repro.proc.effects import (
     Compute,
     ComputeLoad,
-    SpinUntilGE,
+    Poll,
     StoreRelease,
     StoreRun,
 )
@@ -244,7 +246,8 @@ class JacobiApp:
             yield StoreRelease(st.flag_addr[d], it + 1)
         for d, nbr in st.neighbors.items():
             nbr_st = self.states[nbr]
-            yield SpinUntilGE(nbr_st.flag_addr[_OPP[d]], it + 1, backoff=8)
+            yield Poll(8, None, partial(operator.le, it + 1),
+                       (nbr_st.flag_addr[_OPP[d]],))
             base = nbr_st.edge_addr[_OPP[d]][parity]
             vals = yield from self._read_edge(base)
             self._set_halo(st, d, vals)

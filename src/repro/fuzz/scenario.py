@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import operator
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.check import CheckerSet
@@ -52,8 +53,7 @@ from repro.proc.effects import (
     ComputeLoad,
     Load,
     LoadComputeStore,
-    Repeat,
-    SpinUntilGE,
+    Poll,
     Store,
     StoreRelease,
     StoreRun,
@@ -496,7 +496,7 @@ def _op_handoff(m: Machine, op: dict, _rel) -> _OpImpl:
                 yield Compute(12)
         else:
             yield StoreRelease(flags[consumer], 1)
-            yield SpinUntilGE(flags[node], 1, backoff=12)
+            yield Poll(12, None, partial(operator.le, 1), (flags[node],))
         producer = (node - 1) % n
         for w in range(words):
             got = yield Load(data[node] + w * 8)
@@ -530,12 +530,11 @@ def _op_macro(m: Machine, op: dict, _rel) -> _OpImpl:
             yield LoadComputeStore(base[node], aux[node], elems, stride=8)
         elif kind == "store_run":
             yield StoreRun(aux[node], [node + i for i in range(elems)])
-        else:  # repeat
-            yield Repeat(elems, (
-                Compute(2),
-                Store(aux[node], node),
-                Load(aux[node]),
-            ))
+        else:  # repeat: a fixed body, a plain loop
+            for _ in range(elems):
+                yield Compute(2)
+                yield Store(aux[node], node)
+                yield Load(aux[node])
 
     def post() -> list[str]:
         out = sorted(errors)

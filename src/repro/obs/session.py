@@ -33,10 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.check import CheckReport
     from repro.machine.machine import Machine
 
+#: caps on what one machine's observers keep (counts go on past them)
+MAX_TRACE_EVENTS = 200_000
+MAX_SAMPLES = 100_000
+MAX_FINDINGS = 1000
+
+
 @dataclass(frozen=True)
 class ObsConfig:
-    """What to attach to each machine. Frozen + plain data so it
-    pickles into sweep workers unchanged."""
+    """What to attach to each machine besides the metrics snapshot and
+    the cycle-attribution profiler, which every observed machine gets.
+    Frozen + plain data so it pickles into sweep workers unchanged."""
 
     #: cycles between time-series samples; 0 disables the sampler
     sample_interval: int = 0
@@ -45,26 +52,9 @@ class ObsConfig:
     #: trace kinds to capture; the default set is what the exporter
     #: renders as tracks ("effect"/"txn" traces are huge — opt in)
     trace_kinds: tuple[str, ...] = ("packet", "handler", "context")
-    #: collect a MetricsSnapshot per machine
-    metrics: bool = True
-    #: attach the cycle-attribution profiler
-    profile: bool = True
     #: dynamic checkers to attach ("race", "coherence", "deadlock");
     #: empty tuple disables checking entirely
     check: tuple[str, ...] = ()
-    max_trace_events: int = 200_000
-    max_samples: int = 100_000
-    max_findings: int = 1000
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.sample_interval
-            or self.trace
-            or self.metrics
-            or self.profile
-            or self.check
-        )
 
 
 class ObsSession:
@@ -102,8 +92,6 @@ class ObsSession:
     def observe(self, machine: "Machine") -> None:
         """Attach the configured observers to a freshly-built machine."""
         cfg = self.cfg
-        if not cfg.enabled:
-            return
         tracer = checkers = None
         if cfg.check:
             from repro.check import CheckerSet
@@ -118,21 +106,19 @@ class ObsSession:
             checkers = CheckerSet(
                 machine,
                 checks=cfg.check,
-                max_findings=cfg.max_findings,
+                max_findings=MAX_FINDINGS,
                 on_finding=on_finding,
             )
-        profiler = CycleProfiler(machine) if cfg.profile else None
+        profiler = CycleProfiler(machine)
         sampler = (
-            TimeSampler(machine, cfg.sample_interval, cfg.max_samples)
+            TimeSampler(machine, cfg.sample_interval, MAX_SAMPLES)
             if cfg.sample_interval
             else None
         )
         if cfg.trace:
             from repro.trace.tracer import Tracer
 
-            tracer = Tracer(
-                machine, kinds=cfg.trace_kinds, max_events=cfg.max_trace_events
-            )
+            tracer = Tracer(machine, kinds=cfg.trace_kinds, max_events=MAX_TRACE_EVENTS)
         self._observed.append(
             (machine, self._next_label(), tracer, profiler, sampler, checkers)
         )
@@ -151,7 +137,7 @@ class ObsSession:
             if self.check is None:
                 from repro.check import CheckReport
 
-                self.check = CheckReport(max_findings=self.cfg.max_findings)
+                self.check = CheckReport(max_findings=MAX_FINDINGS)
             self.check.merge(report)
         if tracer is not None:
             out["trace"] = [
@@ -162,26 +148,22 @@ class ObsSession:
         if sampler is not None:
             out["samples"] = sampler.as_dict()
             sampler.detach()
-        if profiler is not None:
-            prof = profiler.as_dict()
-            out["profile"] = prof
-            profiler.detach()
-            if self.attribution is None:
-                # deep-ish copy: merge_attribution mutates its target
-                self.attribution = {
-                    "machines": 0,
-                    "total_cycles": 0,
-                    "per_node": {},
-                }
-            merge_attribution(self.attribution, prof)
-        if self.cfg.metrics:
-            snap = collect_machine(
-                machine, extra=sampler.histograms if sampler else ()
-            )
-            if self.metrics is None:
-                self.metrics = snap
-            else:
-                self.metrics.merge(snap)
+        prof = profiler.as_dict()
+        out["profile"] = prof
+        profiler.detach()
+        if self.attribution is None:
+            # deep-ish copy: merge_attribution mutates its target
+            self.attribution = {
+                "machines": 0,
+                "total_cycles": 0,
+                "per_node": {},
+            }
+        merge_attribution(self.attribution, prof)
+        snap = collect_machine(machine, extra=sampler.histograms if sampler else ())
+        if self.metrics is None:
+            self.metrics = snap
+        else:
+            self.metrics.merge(snap)
         self.records.append(out)
 
     # ------------------------------------------------------------------
@@ -210,7 +192,7 @@ class ObsSession:
 
             report = CheckReport.from_dict(data["check"])
             if self.check is None:
-                self.check = CheckReport(max_findings=self.cfg.max_findings)
+                self.check = CheckReport(max_findings=MAX_FINDINGS)
             self.check.merge(report)
         if data.get("cache") is not None:
             self.note_cache(data["cache"])

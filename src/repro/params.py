@@ -111,7 +111,6 @@ class MachineConfig:
     """Full Alewife machine description."""
 
     n_nodes: int = 64
-    clock_mhz: float = 33.0
     line_size: int = 16
     cache_lines: int = 4096  # 64 KB / 16 B
     dir_hw_pointers: int = 5
@@ -127,18 +126,3 @@ class MachineConfig:
             raise ValueError(f"line_size must be a power of two, got {self.line_size}")
         if self.cache_lines <= 0:
             raise ValueError("cache_lines must be positive")
-        if self.clock_mhz <= 0:
-            raise ValueError("clock_mhz must be positive")
-
-    # ------------------------------------------------------------------
-    def cycles_to_usec(self, cycles: float) -> float:
-        return cycles / self.clock_mhz
-
-    def cycles_to_msec(self, cycles: float) -> float:
-        return cycles / (self.clock_mhz * 1000.0)
-
-    def mbytes_per_sec(self, nbytes: int, cycles: float) -> float:
-        """Achieved bandwidth for moving ``nbytes`` in ``cycles``."""
-        if cycles <= 0:
-            raise ValueError("cycles must be positive")
-        return nbytes * self.clock_mhz / cycles

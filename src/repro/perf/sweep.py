@@ -202,7 +202,7 @@ class SweepRunner:
         cache = cache_current()
         sess = obs_current()
         notify = progress_current()
-        obs_cfg = sess.cfg if sess is not None and sess.cfg.enabled else None
+        obs_cfg = sess.cfg if sess is not None else None
         obs_key = repr(obs_cfg) if obs_cfg is not None else ""
         results: list[Any] = [None] * len(points)
         payloads: list[dict | None] = [None] * len(points)

@@ -26,7 +26,7 @@ coherence engine has an access probe subscriber (:mod:`repro.sim.probe`),
 runs every macro-effect through :class:`MicroBatch` instead, which
 feeds each element of ``eff.micro()`` through ``Processor._execute``,
 so observers see exactly the per-element stream the micro program
-yields. ``Repeat`` always runs that way.
+yields.
 """
 
 from __future__ import annotations
@@ -386,30 +386,117 @@ class StoreRunBatch(_BatchBase):
         self._issue_store(self.base + i * self.stride, vals[i])
 
 
-class SpinBatch(_BatchBase):
-    """Acquire-spin until the loaded value reaches the threshold."""
+class PollBatch(_BatchBase):
+    """Probe (one LoadAcquire per address) until ``ready(*values)``
+    holds (resumes True), with Compute(quantum) between probes, or
+    until ``rounds`` probes are made (resumes False).
 
-    __slots__ = ("addr", "threshold", "backoff", "state", "_line")
+    A one-address poll (a flag spin) runs each round in its two
+    completion callbacks, ``_spin_loaded`` and ``_spin_backed_off``,
+    instead of through step(): spins are the bulk of the wait rounds
+    (113k in a two-episode 256-node SM barrier), and the generic round
+    made each one take about 20% more host time.
+    """
+
+    __slots__ = ("quantum", "left", "ready", "addrs", "n", "values", "k",
+                 "_line")
 
     def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
         super().__init__(proc, ctx)
-        self.addr = eff.addr
-        self.threshold = eff.threshold
-        self.backoff = eff.backoff
-        self.state = _INIT
-        self._line = eff.addr & self._line_mask
-        # spins complete thousands of probe loads and backoffs;
-        # collapse the _done_* -> step state-machine detours into
-        # spin-specific callbacks
-        self._cb_read = self._spin_probe
-        self._cb_plain = self._backoff_done
+        self.quantum = eff.quantum
+        self.left = eff.rounds  # probes still to start; None: no limit
+        self.ready = eff.ready
+        self.addrs = eff.addrs
+        self.n = len(eff.addrs)
+        self.values = [None] * self.n
+        #: loads of the probe in flight issued so far; -1 before a
+        #: probe (at the start, or while the compute between two probes
+        #: runs)
+        self.k = -1
+        if self.n == 1:
+            self._addr = eff.addrs[0]
+            self._line = self._addr & self._line_mask
+            self._cb_read = self._spin_loaded
+            self._cb_plain = self._spin_backed_off
 
-    def _reload(self, proc: "Processor") -> None:
-        """_issue_load(self.addr), inlined for the fixed spin address
-        (line base precomputed at batch construction)."""
+    def step(self, value: Any) -> None:
+        k = self.k
+        if k < 0:
+            left = self.left
+            if left is not None:
+                if not left:
+                    self._resume(False)
+                    return
+                self.left = left - 1
+            k = 0
+        else:
+            self.values[k - 1] = value
+        if k < self.n:
+            self.k = k + 1
+            self._issue_load(self.addrs[k])
+            return
+        # the probe's last load completed: where the micro program's
+        # generator resumes and tests ready
+        if self.ready(*self.values):
+            self._resume(True)
+            return
+        if self.left == 0:
+            self._resume(False)
+            return
+        self.k = -1
+        self._issue_compute(self.quantum)
+
+    # -- a flag spin's round, inlined ----------------------------------
+    # Each callback falls back to _complete (which re-enters step())
+    # at any interruptible point, exactly like _done_read/_done_plain.
+    def _spin_loaded(self) -> None:
+        """The probe's load completed: test ready, then back off."""
+        store = self._store
+        store.reads += 1
+        value = store._mem.get(self._addr, 0)
+        ctx = self.ctx
+        ctx.miss_pending = False
+        proc = self.proc
+        if not ctx.is_handler and (
+            proc.in_handler
+            or (proc.cmmu.in_queue and not proc.imask)
+            or ctx in proc._stalled
+        ):
+            proc._complete(ctx, value)
+            return
+        if self.ready(value):
+            self._resume(True)
+            return
+        if self.left == 0:
+            self._resume(False)
+            return
+        # _issue_compute(quantum), inlined
+        self.k = -1
+        pstats = self._pstats
+        pstats.effects += 1
+        c = self.quantum * self._compute_unit
+        pstats.busy_cycles += c
+        self._call_after(c, self._cb_plain)
+
+    def _spin_backed_off(self) -> None:
+        """The backoff completed: issue the next probe's load
+        (_issue_load for the fixed address, inlined)."""
+        ctx = self.ctx
+        ctx.miss_pending = False
+        proc = self.proc
+        if not ctx.is_handler and (
+            proc.in_handler
+            or (proc.cmmu.in_queue and not proc.imask)
+            or ctx in proc._stalled
+        ):
+            proc._complete(ctx)
+            return
+        if self.left is not None:
+            self.left -= 1  # a backoff runs only while probes are left
+        self.k = 1
         self._pstats.effects += 1
         if proc._store_buffer:
-            forwarded = proc._forward_from_store_buffer(self.addr)
+            forwarded = proc._forward_from_store_buffer(self._addr)
             if forwarded is not None:
                 self._value = forwarded[0]
                 self._call_after(self._load_hit, self._cb_fwd)
@@ -422,109 +509,8 @@ class SpinBatch(_BatchBase):
             self._cache_stats.hits += 1
             self._call_after(self._load_hit, self._cb_read)
             return
-        if not proc.coherence.access(proc.node, self.addr, _READ, self._cb_read):
-            proc._maybe_miss_switch(self.ctx)
-
-    def _backoff_done(self) -> None:
-        ctx = self.ctx
-        ctx.miss_pending = False
-        proc = self.proc
-        if not ctx.is_handler and (
-            proc.in_handler
-            or (proc.cmmu.in_queue and not proc.imask)
-            or ctx in proc._stalled
-        ):
-            proc._complete(ctx)
-            return
-        self.state = _LOAD
-        self._reload(proc)
-
-    def _spin_probe(self) -> None:
-        """Load-completion callback: the whole spin iteration inline.
-        Falls back to _complete (which re-enters step()) at any
-        interruptible point, exactly like _done_read."""
-        store = self._store
-        store.reads += 1
-        value = store._mem.get(self.addr, 0)
-        ctx = self.ctx
-        ctx.miss_pending = False
-        proc = self.proc
-        if not ctx.is_handler and (
-            proc.in_handler
-            or (proc.cmmu.in_queue and not proc.imask)
-            or ctx in proc._stalled
-        ):
-            proc._complete(ctx, value)
-            return
-        if value >= self.threshold:
-            self._resume(value)
-            return
-        backoff = self.backoff
-        if backoff:
-            # _issue_compute(backoff), inlined
-            self.state = _COMPUTE
-            pstats = self._pstats
-            pstats.effects += 1
-            c = backoff * self._compute_unit
-            pstats.busy_cycles += c
-            self._call_after(c, self._cb_plain)
-            return
-        self._reload(proc)
-
-    def step(self, value: Any) -> None:
-        if self.state == _LOAD:
-            if value >= self.threshold:
-                self._resume(value)
-                return
-            if self.backoff:
-                self.state = _COMPUTE
-                self._issue_compute(self.backoff)
-                return
-        self.state = _LOAD
-        self._issue_load(self.addr)
-
-
-class PollBatch(_BatchBase):
-    """Poll rounds of Compute(quantum) then one LoadAcquire per address
-    until ``ready(*values)`` holds (resumes True) or the rounds run out
-    (resumes False)."""
-
-    __slots__ = ("quantum", "left", "ready", "addrs", "n", "values", "k")
-
-    def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
-        super().__init__(proc, ctx)
-        self.quantum = eff.quantum
-        self.left = eff.rounds  # rounds still to start; None: no limit
-        self.ready = eff.ready
-        self.addrs = eff.addrs
-        self.n = len(eff.addrs)
-        self.values = [None] * self.n
-        #: element of the round in flight: 0 the compute, j + 1 the load
-        #: of addrs[j]; -1 before the first round
-        self.k = -1
-
-    def step(self, value: Any) -> None:
-        k = self.k
-        if k >= 0:
-            if k:
-                self.values[k - 1] = value
-            if k < self.n:
-                self.k = k + 1
-                self._issue_load(self.addrs[k])
-                return
-            # the round's last element completed: where the micro
-            # program's generator resumes and tests ready
-            if self.ready(*self.values):
-                self._resume(True)
-                return
-        left = self.left
-        if left is not None:
-            if not left:
-                self._resume(False)
-                return
-            self.left = left - 1
-        self.k = 0
-        self._issue_compute(self.quantum)
+        if not proc.coherence.access(proc.node, self._addr, _READ, self._cb_read):
+            proc._maybe_miss_switch(ctx)
 
 
 class MicroBatch:
@@ -556,7 +542,5 @@ BATCH_CLASSES = {
     fx.ComputeLoad: ComputeLoadBatch,
     fx.LoadComputeStore: LoadComputeStoreBatch,
     fx.StoreRun: StoreRunBatch,
-    fx.Repeat: MicroBatch,
-    fx.SpinUntilGE: SpinBatch,
     fx.Poll: PollBatch,
 }

@@ -19,11 +19,10 @@ DMA.
 Macro-effects
 -------------
 Hot inner loops (the jacobi halo reads, the memcpy doubleword loop,
-the accum consume loop, barrier spins, the schedulers' idle polls)
-spend most of their host time resuming the generator once per
-element. The macro-effects (:class:`ComputeLoad`,
-:class:`LoadComputeStore`, :class:`StoreRun`, :class:`Repeat`,
-:class:`SpinUntilGE`, :class:`Poll`) describe the whole loop in one
+the accum consume loop, flag spins, the schedulers' idle polls) spend
+most of their host time resuming the generator once per element. The
+four macro-effects (:class:`ComputeLoad`, :class:`LoadComputeStore`,
+:class:`StoreRun`, :class:`Poll`) describe the whole loop in one
 yielded object. Each one's ``micro()`` generator *is* its meaning: the
 per-element program it stands for. The processor's batch runner
 (:mod:`repro.proc.batch`) drives those micro-operations itself — same
@@ -246,73 +245,23 @@ class StoreRun:
             yield Store(self.base + i * self.stride, v)
 
 
-#: effect classes legal inside a :class:`Repeat` body (exactly these:
-#: the processor dispatches on the exact class)
-_REPEATABLE = frozenset((Compute, Load, LoadAcquire, Store, StoreRelease, Prefetch))
-
-
-@dataclass(slots=True)
-class Repeat:
-    """Execute the fixed effect sequence ``body`` ``count`` times
-    (element results are discarded; resumes with None). The general
-    aggregate for loops whose body is not one of the specialized shapes
-    above; it has no batch runner, so processors always run its micro
-    program. ``body`` may contain Compute/Load/LoadAcquire/Store/
-    StoreRelease/Prefetch effects only."""
-
-    count: int
-    body: tuple
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"negative repeat count {self.count}")
-        self.body = tuple(self.body)
-        for op in self.body:
-            if type(op) not in _REPEATABLE:
-                raise ValueError(
-                    f"Repeat body may not contain {type(op).__name__} "
-                    "(only Compute/Load/LoadAcquire/Store/StoreRelease/Prefetch)"
-                )
-
-    def micro(self) -> Generator:
-        for _ in range(self.count):
-            for op in self.body:
-                yield op
-
-
-@dataclass(slots=True)
-class SpinUntilGE:
-    """Batched acquire-spin: LoadAcquire ``addr`` until the value is
-    ``>= threshold``, charging ``backoff`` compute cycles between
-    polls; resumes with the final observed value."""
-
-    addr: int
-    threshold: int
-    backoff: int = 0
-
-    def __post_init__(self) -> None:
-        if self.backoff < 0:
-            raise ValueError(f"negative spin backoff {self.backoff}")
-
-    def micro(self) -> Generator:
-        while True:
-            v = yield LoadAcquire(self.addr)
-            if v >= self.threshold:
-                return v
-            if self.backoff:
-                yield Compute(self.backoff)
-
-
 @dataclass(slots=True)
 class Poll:
-    """Batched busy-wait: up to ``rounds`` rounds (None: no limit) of
-    ``Compute(quantum)`` followed by one LoadAcquire per address in
-    ``addrs``; resumes with True as soon as ``ready(*values)`` holds for
-    a round's loaded values, and with False when the rounds run out.
+    """Batched wait, probe first. A probe is one LoadAcquire per
+    address in ``addrs``; while ``ready(*values)`` is false for its
+    loaded values and fewer than ``rounds`` probes were made (None: no
+    limit), ``Compute(quantum)`` and probe again. Resumes with True
+    once ``ready`` holds, with False when the rounds run out. A flag
+    spin probes one address:
+    ``Poll(backoff, None, partial(operator.le, threshold), (addr,))``
+    waits until ``addr`` holds at least ``threshold``.
 
-    ``ready`` runs where ``micro()`` resumes after a round's last
-    element, so it sees whatever a message handler that borrowed the
-    pipeline meanwhile changed (a steal reply, an invoked task).
+    ``ready`` runs where ``micro()`` resumes after a probe's last load,
+    so it sees whatever a message handler that borrowed the pipeline
+    meanwhile changed (a steal reply, an invoked task). It may read
+    only the loaded values and state that this node's handlers change:
+    then only a write to a polled word or a handler run on this node
+    can change its answer.
     """
 
     quantum: int
@@ -327,12 +276,13 @@ class Poll:
             raise ValueError(f"negative poll rounds {self.rounds}")
 
     def micro(self) -> Generator:
-        # one Compute and one LoadAcquire per address, reissued every round
+        # one LoadAcquire per address every probe, a Compute between probes
         compute = Compute(self.quantum)
         loads = [LoadAcquire(a) for a in self.addrs]
         n = 0
         while self.rounds is None or n < self.rounds:
-            yield compute
+            if n:
+                yield compute
             values = []
             for load in loads:
                 values.append((yield load))
@@ -357,7 +307,7 @@ def _check_batch(count: int, stride: int, compute: int, prefetch_line: int) -> N
         )
 
 
-MACRO_EFFECTS = (ComputeLoad, LoadComputeStore, StoreRun, Repeat, SpinUntilGE, Poll)
+MACRO_EFFECTS = (ComputeLoad, LoadComputeStore, StoreRun, Poll)
 
 
 def expand(gen: Generator) -> Generator:
@@ -378,5 +328,5 @@ def expand(gen: Generator) -> Generator:
 Effect = (
     Compute | Load | Store | LoadAcquire | StoreRelease | Prefetch | FetchOp
     | Send | Storeback | SetIMask | Suspend | Yield | Fence
-    | ComputeLoad | LoadComputeStore | StoreRun | Repeat | SpinUntilGE | Poll
+    | ComputeLoad | LoadComputeStore | StoreRun | Poll
 )

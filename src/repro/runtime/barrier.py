@@ -18,17 +18,13 @@ numbering for MP).
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Generator
 
 from repro.check import hooks
 from repro.machine.machine import Machine
-from repro.proc.effects import (
-    Compute,
-    Send,
-    SpinUntilGE,
-    StoreRelease,
-    Suspend,
-)
+from repro.proc.effects import Compute, Poll, Send, StoreRelease, Suspend
 from repro.runtime.reliable import ReliableLayer
 
 MSG_BAR_ARRIVE = "bar.arrive"
@@ -88,14 +84,15 @@ class SMTreeBarrier:
         self._episode[node] += 1
         episode = self._episode[node]
         backoff = self.spin_backoff
+        arrived = partial(operator.le, episode)
         # wait for all children to arrive (their flags are homed here,
         # but each child's write steals the line, so the re-read pays
         # a full remote transaction — the §4.2 point)
         for c in self.children[node]:
-            yield SpinUntilGE(self.arrive_addr[c], episode, backoff=backoff)
+            yield Poll(backoff, None, arrived, (self.arrive_addr[c],))
         if self.parent[node] is not None:
             yield StoreRelease(self.arrive_addr[node], episode)
-            yield SpinUntilGE(self.release_addr[node], episode, backoff=backoff)
+            yield Poll(backoff, None, arrived, (self.release_addr[node],))
         # wake the children (write into lines homed at each child)
         for c in self.children[node]:
             yield StoreRelease(self.release_addr[c], episode)

@@ -18,10 +18,11 @@ executing processor; a node cannot hold the lock twice (no recursion).
 
 from __future__ import annotations
 
+import operator
 from typing import Generator
 
 from repro.machine.machine import Machine
-from repro.proc.effects import Compute, FetchOp, LoadAcquire, StoreRelease
+from repro.proc.effects import Compute, FetchOp, LoadAcquire, Poll, StoreRelease
 from repro.sim.engine import SimulationError
 
 
@@ -53,11 +54,8 @@ class MCSLock:
             return  # uncontended
         # link behind the predecessor and spin on MY OWN flag
         yield StoreRelease(self.next_addr[pred - 1], me)
-        while True:
-            v = yield LoadAcquire(self.locked_addr[node])
-            if v == 0:
-                break
-            yield Compute(self.spin_backoff)
+        yield Poll(self.spin_backoff, None, operator.not_,
+                   (self.locked_addr[node],))
 
     def release(self, node: int) -> Generator:
         """``yield from lock.release(node)``"""

@@ -20,6 +20,8 @@ message machinery).
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.check import hooks
@@ -27,8 +29,8 @@ from repro.machine.machine import Machine
 from repro.proc.effects import (
     Compute,
     Load,
+    Poll,
     Send,
-    SpinUntilGE,
     Store,
     StoreRelease,
     Suspend,
@@ -75,17 +77,18 @@ class SMTreeReduce:
         self._episode[node] += 1
         episode = self._episode[node]
         backoff = self.spin_backoff
+        arrived = partial(operator.le, episode)
         acc = value
         # combine the children's contributions
         for c in self.children[node]:
-            yield SpinUntilGE(self.flag_addr[c], episode, backoff=backoff)
+            yield Poll(backoff, None, arrived, (self.flag_addr[c],))
             child_val = yield Load(self.value_addr[c])
             acc = op(acc, child_val)
             yield Compute(2)  # the combine arithmetic
         if self.parent[node] is not None:
             yield Store(self.value_addr[node], acc)
             yield StoreRelease(self.flag_addr[node], episode)  # flag after data
-            yield SpinUntilGE(self.res_flag[node], episode, backoff=backoff)
+            yield Poll(backoff, None, arrived, (self.res_flag[node],))
             result = yield Load(self.res_value[node])
         else:
             result = acc

@@ -14,7 +14,7 @@ import abc
 import random
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from repro.proc.effects import Poll
+from repro.proc.effects import Compute, Poll
 from repro.runtime.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,9 +107,11 @@ class NodeScheduler(abc.ABC):
         # processors do not saturate victims' queues or the network —
         # but keep polling the local queue every poll_quantum cycles so
         # an invoked/migrated task is dispatched promptly (§4.3's
-        # Tinvokee depends on this)
+        # Tinvokee depends on this). pop_local has just looked at the
+        # queue, so a quantum passes before the first probe.
         p = self.rt.p
         quantum = p.poll_quantum
+        yield Compute(quantum)
         yield Poll(quantum, -(-self._backoff // quantum), self.poll_ready,
                    self.poll_addrs)
         self._backoff = min(self._backoff * 2, p.steal_backoff_max)

@@ -80,6 +80,11 @@ class JobJournal:
         if self._fh is None or self._fh.closed:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
+            if not _ends_with_newline(self.path):
+                # a torn final line (crash mid-write) ends where the
+                # next record would start: begin a new line, so replay
+                # drops only the fragment
+                self._fh.write("\n")
         return self._fh
 
     def record(self, t: str, **fields: Any) -> None:
@@ -134,6 +139,15 @@ class JobJournal:
         from repro.serve.orchestrator import replay
 
         return {job_id: job.as_dict() for job_id, job in replay(self).items()}
+
+
+def _ends_with_newline(path: Path) -> bool:
+    """True for an empty file or one whose last byte is a newline."""
+    with open(path, "rb") as fh:
+        if not fh.seek(0, os.SEEK_END):
+            return True
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def default_journal_path(store_root: str | Path) -> Path:

@@ -535,10 +535,7 @@ class TestSessionWiring:
         from repro.experiments.common import make_machine
         from repro.obs.session import ObsConfig, session
 
-        cfg = ObsConfig(
-            check=("race",), trace=True, trace_kinds=("check",),
-            metrics=False, profile=False,
-        )
+        cfg = ObsConfig(check=("race",), trace=True, trace_kinds=("check",))
         with session(cfg) as s:
             m = make_machine(2)
             addr = m.alloc(0, 8)
@@ -617,7 +614,7 @@ def test_checked_experiment_clean_and_cycle_identical(exp_id):
     from repro.obs.session import ObsConfig, session
 
     golden = json.loads(GOLDEN.read_text())
-    cfg = ObsConfig(check=CHECKER_NAMES, metrics=False, profile=False)
+    cfg = ObsConfig(check=CHECKER_NAMES)
     with session(cfg) as s:
         res = ALL_EXPERIMENTS[exp_id](**CONFIGS[exp_id])
         data = s.data()

@@ -68,7 +68,7 @@ def test_golden_covers_every_experiment(golden):
 def test_observed_run_cycle_identical(exp_id, golden):
     from repro.obs.session import ObsConfig, session
 
-    cfg = ObsConfig(sample_interval=500, trace=True, metrics=True, profile=True)
+    cfg = ObsConfig(sample_interval=500, trace=True)
     with session(cfg) as s:
         res = ALL_EXPERIMENTS[exp_id](**CONFIGS[exp_id])
         data = s.data()

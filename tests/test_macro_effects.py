@@ -1,30 +1,31 @@
 """Macro-effect equivalence guards.
 
 The batched effects (``ComputeLoad``, ``LoadComputeStore``,
-``StoreRun``, ``Repeat``, ``SpinUntilGE``, ``Poll``) exist purely to
-cut host overhead: one generator resume per *loop* instead of per
-element. The contract is cycle identity — a macro batch and its micro
-program must produce the same simulated time, the same values, the
-same stats, the same trace stream, the same profiler attribution, and
-the same checker findings. The hand-written micro programs below are
-the reference: each effect's ``micro()`` must yield exactly what they
-yield, and the batch runners must simulate exactly what they simulate.
-These tests pin that contract, including hypothesis sweeps that force
-coherence misses (batch splits) at random elements via a concurrent
-writer, and which runner a processor starts (observed processors run
-``micro()`` itself).
+``StoreRun``, ``Poll``) exist purely to cut host overhead: one
+generator resume per *loop* instead of per element. The contract is
+cycle identity — a macro batch and its micro program must produce the
+same simulated time, the same values, the same stats, the same trace
+stream, the same profiler attribution, and the same checker findings.
+The hand-written micro programs below are the reference: each effect's
+``micro()`` must yield exactly what they yield, and the batch runners
+must simulate exactly what they simulate. These tests pin that
+contract, including hypothesis sweeps that force coherence misses
+(batch splits) at random elements via a concurrent writer, and which
+runner a processor starts (observed processors run ``micro()``
+itself).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine, MachineConfig, ProcessorParams
 from repro.proc import (
     Compute,
     ComputeLoad,
@@ -34,13 +35,10 @@ from repro.proc import (
     LoadComputeStore,
     Poll,
     Prefetch,
-    Repeat,
     Send,
-    SpinUntilGE,
     Store,
     StoreRelease,
     StoreRun,
-    Suspend,
     expand,
 )
 from repro.proc.batch import (
@@ -48,7 +46,6 @@ from repro.proc.batch import (
     LoadComputeStoreBatch,
     MicroBatch,
     PollBatch,
-    SpinBatch,
     StoreRunBatch,
 )
 
@@ -122,46 +119,46 @@ def micro_store_run(base, values, stride=8):
     return gen()
 
 
-def micro_repeat(count, body):
-    def gen():
-        for _ in range(count):
-            for op in body:
-                yield op
-
-    return gen()
+def spin(addr, threshold, backoff):
+    """A flag spin: the one-address Poll that waits until ``addr``
+    holds at least ``threshold``."""
+    return Poll(backoff, None, partial(operator.le, threshold), (addr,))
 
 
-def micro_spin(addr, threshold, backoff=0):
+def micro_spin(addr, threshold, backoff):
+    """The hand-written flag spin loop a one-address Poll stands for."""
     def gen():
         while True:
             v = yield LoadAcquire(addr)
             if v >= threshold:
-                return v
-            if backoff:
-                yield Compute(backoff)
+                return True
+            yield Compute(backoff)
 
     return gen()
 
 
-def macro_spin(addr, threshold, backoff=0):
-    def gen():
-        v = yield SpinUntilGE(addr, threshold, backoff=backoff)
-        return v
-
-    return gen()
+def macro_spin(addr, threshold, backoff):
+    return one(spin(addr, threshold, backoff))
 
 
 def micro_poll(quantum, rounds, ready, addrs=()):
+    def probe():
+        values = []
+        for a in addrs:
+            values.append((yield LoadAcquire(a)))
+        return ready(*values)
+
     def gen():
-        n = 0
-        while rounds is None or n < rounds:
+        # probe first, then (Compute, probe) until ready or `rounds`
+        # probes were made
+        if rounds == 0:
+            return False
+        if (yield from probe()):
+            return True
+        for _ in itertools.count() if rounds is None else range(rounds - 1):
             yield Compute(quantum)
-            values = []
-            for a in addrs:
-                values.append((yield LoadAcquire(a)))
-            if ready(*values):
+            if (yield from probe()):
                 return True
-            n += 1
         return False
 
     return gen()
@@ -282,24 +279,6 @@ class TestMacroMicroIdentity:
         assert [m1.store.read(b1 + i * 8) for i in range(len(vals))] == vals
         assert [m2.store.read(b2 + i * 8) for i in range(len(vals))] == vals
 
-    def test_repeat_identical(self):
-        reps = 10
-
-        def build(m, variant):
-            a = m.alloc(1, 8)
-            b = m.alloc(0, 8)
-            body = (Compute(3), Load(a), Store(b, 1), Compute(1))
-            if variant == "micro":
-                gen = micro_repeat(reps, body)
-            else:
-                gen = one(Repeat(reps, body))
-            m.processor(0).run_thread(gen)
-            return None
-
-        (m1, _, _), (m2, _, _) = run_pair(build)
-        assert m1.sim.now == m2.sim.now
-        assert m1.processor(0).stats.effects == m2.processor(0).stats.effects
-
     def test_spin_identical(self):
         def build(m, variant):
             flag = m.alloc(1, 8)
@@ -318,8 +297,64 @@ class TestMacroMicroIdentity:
 
         (m1, r1, _), (m2, r2, _) = run_pair(build)
         assert m1.sim.now == m2.sim.now
-        assert r1 == r2 == [1]
+        assert r1 == r2 == [True]
         assert m1.processor(0).stats.effects == m2.processor(0).stats.effects
+
+    def test_spin_interrupted_by_handlers(self):
+        # handlers borrow the pipeline mid-spin, so probe loads and
+        # backoffs complete at interruptible points and the spin goes
+        # on through _complete
+        def build(m, variant):
+            flag = m.alloc(1, 8)
+            seen = []
+
+            def on_ping(msg):
+                yield Compute(7)
+                seen.append(msg.operands[0])
+
+            m.processor(0).register_handler("ping", on_ping)
+            fn = micro_spin if variant == "micro" else macro_spin
+            out = []
+            m.processor(0).run_thread(fn(flag, 1, 6), on_finish=out.append)
+
+            def pinger():
+                for i in range(12):
+                    yield Compute(13)
+                    yield Send(0, "ping", operands=(i,))
+                yield StoreRelease(flag, 1)
+
+            m.processor(2).run_thread(pinger())
+            return out, seen
+
+        (m1, r1, _), (m2, r2, _) = run_pair(build)
+        assert r1 == r2 == ([True], list(range(12)))
+        assert self._poll_figures(m1) == self._poll_figures(m2)
+
+    def test_spin_forwards_from_store_buffer(self):
+        # the spinner's own buffered store to its flag answers its
+        # probes until the write completes
+        results = []
+        for variant in ("micro", "macro"):
+            m = machine(processor=ProcessorParams(store_buffer_depth=4))
+            flag = m.alloc(1, 8)
+            fn = micro_spin if variant == "micro" else macro_spin
+            out = []
+
+            def spinner():
+                yield Store(flag, 0)
+                return (yield from fn(flag, 1, 1))
+
+            m.processor(0).run_thread(spinner(), on_finish=out.append)
+
+            def releaser():
+                yield Compute(300)
+                yield StoreRelease(flag, 1)
+
+            m.processor(3).run_thread(releaser())
+            m.run()
+            results.append((out, self._poll_figures(m), m.sim.events_processed))
+        assert results[0] == results[1]
+        assert results[0][0] == [True]
 
     @staticmethod
     def _poll_figures(m):
@@ -399,7 +434,8 @@ class TestMacroMicroIdentity:
         (m1, r1, _), (m2, r2, _) = run_pair(build)
         assert r1 == r2 == [False]
         assert self._poll_figures(m1) == self._poll_figures(m2)
-        assert m2.processor(0).stats.effects == 6 * 3
+        # six probes of two loads, a compute between two probes
+        assert m2.processor(0).stats.effects == 6 * 2 + 5
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +478,26 @@ class TestObserverIdentity:
         def writer():
             yield Compute(120)
             yield StoreRelease(words + 8, 1)
+            yield Store(data, 7)
+
+        m.processor(1).run_thread(writer(), label="writer")
+        return data
+
+    def _spin_build(self, m, variant):
+        # the same race through a one-address flag spin
+        flag = m.alloc(1, 8)
+        data = m.alloc(2, 8)
+        fn = micro_spin if variant == "micro" else macro_spin
+
+        def spinner():
+            yield from fn(flag, 1, 6)
+            yield Load(data)
+
+        m.processor(0).run_thread(spinner(), label="spinner")
+
+        def writer():
+            yield Compute(120)
+            yield StoreRelease(flag, 1)
             yield Store(data, 7)
 
         m.processor(1).run_thread(writer(), label="writer")
@@ -499,6 +555,15 @@ class TestObserverIdentity:
 
     def test_poll_race_detector_equivalent(self):
         self._check_races(self._poll_build)
+
+    def test_spin_trace_stream_identical(self):
+        self._check_trace(self._spin_build, "Poll", "LoadAcquire")
+
+    def test_spin_profiler_buckets_identical(self):
+        self._check_profiler(self._spin_build)
+
+    def test_spin_race_detector_equivalent(self):
+        self._check_races(self._spin_build)
 
 
 # ----------------------------------------------------------------------
@@ -558,12 +623,6 @@ def ready_after(rounds):
 
 _addr = st.integers(min_value=0, max_value=64).map(lambda i: i * 8)
 _stride = st.sampled_from([8, 16, 64])
-_body_op = st.one_of(
-    st.integers(min_value=0, max_value=3).map(Compute),
-    _addr.map(Load), _addr.map(LoadAcquire), _addr.map(Prefetch),
-    st.builds(Store, _addr, st.integers()),
-    st.builds(StoreRelease, _addr, st.integers()),
-)
 
 
 def _draw_pair(data, kind):
@@ -588,14 +647,10 @@ def _draw_pair(data, kind):
         values = draw(st.lists(st.integers(), max_size=8))
         return (StoreRun(base, values, stride),
                 micro_store_run(base, values, stride))
-    if kind == "repeat":
-        count = draw(st.integers(min_value=0, max_value=4))
-        body = tuple(draw(st.lists(_body_op, max_size=4)))
-        return Repeat(count, body), micro_repeat(count, body)
     if kind == "spin":
         addr, backoff = draw(_addr), draw(st.integers(min_value=0, max_value=4))
         threshold = draw(st.integers(min_value=0, max_value=5))
-        return (SpinUntilGE(addr, threshold, backoff),
+        return (spin(addr, threshold, backoff),
                 micro_spin(addr, threshold, backoff))
     quantum = draw(st.integers(min_value=0, max_value=4))
     rounds = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
@@ -606,7 +661,7 @@ def _draw_pair(data, kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["compute_load", "copy", "store_run", "repeat", "spin", "poll"]
+    "kind", ["compute_load", "copy", "store_run", "spin", "poll"]
 )
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -636,8 +691,7 @@ def test_expand_matches_hand_written_micro_program():
             yield Compute(5)
             yield LoadComputeStore(a, b, 8, compute=1, prefetch_line=16)
             yield StoreRun(b + 64, vals[:4])
-            yield Repeat(3, (Compute(2), Load(a), Store(b, 9)))
-            seen = yield SpinUntilGE(flag, 1, backoff=4)
+            seen = yield spin(flag, 1, 4)
             ok = yield Poll(20, None, second_release, (flag, flag + 8))
             last = yield Load(b + 64)
             return vals, seen, ok, last
@@ -647,8 +701,7 @@ def test_expand_matches_hand_written_micro_program():
             yield Compute(5)
             yield from micro_copy(a, b, 8, compute=1, prefetch_line=16)
             yield from micro_store_run(b + 64, vals[:4])
-            yield from micro_repeat(3, (Compute(2), Load(a), Store(b, 9)))
-            seen = yield from micro_spin(flag, 1, backoff=4)
+            seen = yield from micro_spin(flag, 1, 4)
             ok = yield from micro_poll(20, None, second_release, (flag, flag + 8))
             last = yield Load(b + 64)
             return vals, seen, ok, last
@@ -672,7 +725,7 @@ def test_expand_matches_hand_written_micro_program():
     runs = {v: build(machine(), v) for v in ("micro", "expanded", "macro")}
     assert runs["expanded"] == runs["micro"] == runs["macro"]
     _, _, [(vals, seen, ok, last)], *_ = runs["micro"]
-    assert (vals, seen, ok, last) == (list(range(1, 17)), 1, True, 1)
+    assert (vals, seen, ok, last) == (list(range(1, 17)), True, True, 1)
 
 
 # ----------------------------------------------------------------------
@@ -684,8 +737,7 @@ RUNNERS = {
     "compute_load": (lambda a: ComputeLoad(a, 4), ComputeLoadBatch),
     "copy": (lambda a: LoadComputeStore(a, a + 64, 4), LoadComputeStoreBatch),
     "store_run": (lambda a: StoreRun(a, [1, 2]), StoreRunBatch),
-    "repeat": (lambda a: Repeat(2, (Compute(1), Load(a))), MicroBatch),
-    "spin": (lambda a: SpinUntilGE(a, 1, backoff=2), SpinBatch),
+    "spin": (lambda a: spin(a, 1, 2), PollBatch),
     "poll": (lambda a: Poll(1, 3, operator.ne, (a, a + 8)), PollBatch),
 }
 
@@ -901,28 +953,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="stride must be positive"):
             StoreRun(0, [1], stride=0)
 
-    def test_repeat_rejects_non_repeatable_body(self):
-        with pytest.raises(ValueError, match="Repeat body may not contain"):
-            Repeat(3, (Compute(1), Suspend(register=0)))
-
-    def test_repeat_rejects_subclassed_body_effect(self):
-        # the processor dispatches on the exact class, so a subclass of
-        # an allowed effect is not allowed either
-        @dataclass(slots=True)
-        class TracedLoad(Load):
-            pass
-
-        with pytest.raises(ValueError, match="may not contain TracedLoad"):
-            Repeat(1, (TracedLoad(64),))
-
-    def test_repeat_rejects_negative_count(self):
-        with pytest.raises(ValueError, match="negative repeat count"):
-            Repeat(-1, (Compute(1),))
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="negative spin backoff"):
-            SpinUntilGE(0, 1, backoff=-1)
-
     def test_negative_poll_quantum_rejected(self):
         with pytest.raises(ValueError, match="negative poll quantum"):
             Poll(-1, 3, bool)
@@ -939,11 +969,31 @@ class TestValidation:
         assert out == [False]
         assert m.processor(0).stats.effects == 0
 
-    def test_spin_resumes_with_observed_value(self):
+    def test_spin_past_threshold_probes_once(self):
         m = machine()
         flag = m.alloc(1, 8)
         m.store.write(flag, 5)  # already past threshold
         out = []
-        m.processor(0).run_thread(macro_spin(flag, 3), on_finish=out.append)
+        m.processor(0).run_thread(macro_spin(flag, 3, 6), on_finish=out.append)
         m.run()
-        assert out == [5]
+        assert out == [True]
+        assert m.processor(0).stats.effects == 1  # one load, no backoff
+
+
+def test_spin_starvation_site_is_the_waiting_code():
+    # an observed processor runs the Poll's micro program, but a
+    # watchdog finding names the program that yielded the Poll: here
+    # node 0 waits at the SM barrier for a child that never arrives
+    from repro.check import CheckerSet
+    from repro.runtime.barrier import SMTreeBarrier
+
+    m = machine(2)
+    checkers = CheckerSet(m, checks=("deadlock",), spin_limit=50)
+    barrier = SMTreeBarrier(m, arity=2)
+    m.processor(0).run_thread(barrier.enter(0), label="waiter")
+    m.run(until=5_000)
+    spins = [f for f in checkers.finalize().findings
+             if f.kind == "spin-starvation"]
+    assert len(spins) == 1
+    assert spins[0].node == 0
+    assert "barrier.py" in spins[0].sites[0]

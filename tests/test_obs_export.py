@@ -204,15 +204,15 @@ class TestSession:
         assert rec["samples"]["samples"]
         assert d1["cycle_attribution"]["total_cycles"] == 2 * 500
 
-    def test_disabled_config_attaches_nothing(self):
+    def test_no_session_attaches_nothing(self):
         from repro.experiments.common import make_machine
 
-        cfg = ObsConfig(metrics=False, profile=False)
-        assert not cfg.enabled
-        with session(cfg) as s:
-            m = make_machine(n_nodes=2)
-            assert m.processor(0).after_execute == ()
-            assert s.data()["records"] == []
+        with session(ObsConfig()) as s:
+            observed = make_machine(n_nodes=2)
+            assert observed.processor(0).after_execute != ()
+            s.data()
+        m = make_machine(n_nodes=2)
+        assert m.processor(0).after_execute == ()
 
     def test_absorb_merges_worker_payload(self):
         from repro.experiments.common import make_machine, run_thread_timed

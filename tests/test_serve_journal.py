@@ -109,6 +109,21 @@ class TestJournalPrimitives:
         events = list(JobJournal(journal.path).replay())
         assert [e["t"] for e in events] == ["submitted"]
 
+    def test_append_after_torn_final_line_starts_a_new_line(self, tmp_path):
+        journal = JobJournal(tmp_path / "j.jsonl")
+        journal.record("submitted", job="a", key="k")
+        journal.close()
+        with open(journal.path, "a") as fh:
+            fh.write('{"t": "started", "job": "a", "wal')  # crash mid-write
+        restarted = JobJournal(journal.path)
+        restarted.mark_daemon_start()
+        restarted.record("submitted", job="b", key="k")
+        restarted.close()
+        events = list(JobJournal(journal.path).replay())
+        assert [e["t"] for e in events] == [
+            "submitted", "daemon_start", "submitted"
+        ]
+
     def test_replay_of_missing_file_is_empty(self, tmp_path):
         assert list(JobJournal(tmp_path / "absent.jsonl").replay()) == []
 
