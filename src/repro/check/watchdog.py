@@ -57,6 +57,10 @@ class DeadlockWatchdog:
         self._subs = Subscriptions()
         #: cid -> consecutive spin-looking effects
         self._spin: dict[int, int] = {}
+        #: cid -> the word its current spin streak last loaded: a
+        #: spin-starvation finding's address, whichever of the spin's
+        #: effects reaches the limit (None for a streak of Computes)
+        self._loaded: dict[int, int] = {}
         #: cid -> (suspend time, site, node, label)
         self._suspended: dict[int, tuple] = {}
         self._flagged_spin: set[int] = set()
@@ -75,6 +79,8 @@ class DeadlockWatchdog:
                 if isinstance(eff, _SPIN_EFFECTS):
                     count = self._spin.get(cid, 0) + 1
                     self._spin[cid] = count
+                    if eff.__class__ is not fx.Compute:
+                        self._loaded[cid] = eff.addr
                     if count == self.spin_limit and cid not in self._flagged_spin:
                         self._flagged_spin.add(cid)
                         self._emit(Finding(
@@ -82,7 +88,7 @@ class DeadlockWatchdog:
                             kind="spin-starvation",
                             time=self.machine.sim.now,
                             node=node,
-                            addr=getattr(eff, "addr", None),
+                            addr=self._loaded.get(cid),
                             message=(
                                 f"context {ctx.label or ctx.cid!r} issued "
                                 f"{count} consecutive load/compute effects "
@@ -92,6 +98,7 @@ class DeadlockWatchdog:
                         ))
                 else:
                     self._spin.pop(cid, None)
+                    self._loaded.pop(cid, None)
                     if eff.__class__ is fx.Suspend:
                         self._suspended[cid] = (
                             self.machine.sim.now, _site(ctx),
@@ -108,6 +115,7 @@ class DeadlockWatchdog:
 
     def _finished(self, ctx) -> None:
         self._spin.pop(ctx.cid, None)
+        self._loaded.pop(ctx.cid, None)
         self._suspended.pop(ctx.cid, None)
 
     def detach(self) -> None:

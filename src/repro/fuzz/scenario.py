@@ -30,7 +30,11 @@ probes, so its processors run each macro-effect's micro program;
 the unchecked replay takes the batch runners. The two are guaranteed
 cycle-identical, so ``diff_macro`` replays the scenario without
 checkers and compares cycles and results — any daylight is a bug in
-the batch runner's equivalence, found for free.
+the batch runner's equivalence, found for free. A cycle profiler
+rides both runs, and the replay's profiled processors keep the batch
+runners (which report each element they issue), so the oracle also
+compares the two cycle-attribution profiles. The profiles stay out
+of the result dict: they are a comparison, not an outcome.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRates, LinkOutage, NodeStall
 from repro.fuzz.gen import validate_scenario
 from repro.machine.machine import Machine
+from repro.obs.profiler import CycleProfiler
 from repro.params import NetworkParams, ProcessorParams
 from repro.proc.effects import (
     Compute,
@@ -83,14 +88,10 @@ def run_scenario(scenario: dict) -> dict:
     """Execute one scenario; returns the plain result dict."""
     validate_scenario(scenario)
     checks = tuple(scenario.get("checks") or ())
-    result = _execute(scenario, checks)
-    if (
-        scenario.get("diff_macro")
-        and checks
-        and result["error"] is None
-        and result["hang"] is None
-    ):
-        result["divergence"] = _diff_macro(scenario, result)
+    diff = bool(scenario.get("diff_macro") and checks)
+    result, profile = _execute(scenario, checks, profile=diff)
+    if diff and result["error"] is None and result["hang"] is None:
+        result["divergence"] = _diff_macro(scenario, result, profile)
     return result
 
 
@@ -102,7 +103,11 @@ def canonical(doc: Any) -> str:
 # ----------------------------------------------------------------------
 # core execution
 # ----------------------------------------------------------------------
-def _execute(scenario: dict, checks: tuple[str, ...]) -> dict:
+def _execute(
+    scenario: dict, checks: tuple[str, ...], profile: bool = False
+) -> tuple[dict, dict | None]:
+    """Run once; returns the result dict and, with ``profile``, the
+    machine's cycle-attribution profile (else None)."""
     mc = scenario["machine"]
     m = make_machine(
         n_nodes=mc["n_nodes"],
@@ -119,6 +124,7 @@ def _execute(scenario: dict, checks: tuple[str, ...]) -> dict:
                    spin_limit=SPIN_LIMIT)
         if checks else None
     )
+    profiler = CycleProfiler(m) if profile else None
     result: dict = {
         "gen": scenario["gen"],
         "seed": scenario["seed"],
@@ -155,14 +161,17 @@ def _execute(scenario: dict, checks: tuple[str, ...]) -> dict:
         or result["unfinished"]
         or (report is not None and report.total)
     )
-    return result
+    return result, profiler.as_dict() if profiler is not None else None
 
 
-def _diff_macro(scenario: dict, micro: dict) -> dict | None:
+def _diff_macro(scenario: dict, micro: dict, micro_profile: dict) -> dict | None:
     """Unchecked (macro-path) replay vs the checked (micro-path) run."""
-    macro = _execute(scenario, checks=())
+    macro, macro_profile = _execute(scenario, checks=(), profile=True)
+    # the profiles join the comparison only: the stored result has none
+    micro = {**micro, "profile": micro_profile}
+    macro["profile"] = macro_profile
     for key in ("cycles", "result", "self_check", "unfinished",
-                "error", "hang"):
+                "error", "hang", "profile"):
         if canonical(macro[key]) != canonical(micro[key]):
             return {
                 "oracle": "micro-macro",

@@ -16,7 +16,11 @@ tracer, so an unprofiled machine runs no profiler code:
   the bucket for that effect class (``Load``/``Store``/``FetchOp``
   resolve to ``cache_hit`` or ``miss_stall`` from the post-dispatch
   ``ctx.miss_pending`` flag; effects inside a message handler charge
-  the ``handler`` bucket).
+  the ``handler`` bucket). The probe fires with the effect's class,
+  once per element whether the element came from a program's own
+  yield, a macro-effect's batch runner or its ``micro()`` program,
+  so a profiled processor keeps the batch runners and the profile
+  does not depend on the path.
 * ``before_handler`` — interrupt entry: moves into ``handler``.
 * ``after_dispatch`` — when the dispatcher finds nothing to run, moves
   into ``idle``.
@@ -121,14 +125,14 @@ class _NodeAccount:
         self.transition(self.state, self.effect)
 
     # -- probe callbacks -------------------------------------------------
-    def executed(self, ctx, eff) -> None:
+    def executed(self, ctx, cls) -> None:
         if ctx.is_handler:
-            self.transition("handler", type(eff).__name__)
+            self.transition("handler", cls.__name__)
             return
-        bucket = _EFFECT_BUCKET.get(eff.__class__)
+        bucket = _EFFECT_BUCKET.get(cls)
         if bucket is None:
             bucket = "miss_stall" if ctx.miss_pending else "cache_hit"
-        self.transition(bucket, type(eff).__name__)
+        self.transition(bucket, cls.__name__)
 
     def handler_entered(self, msg) -> None:
         self.transition("handler", "interrupt_entry")

@@ -104,9 +104,9 @@ class TimeSampler:
             return  # stop rescheduling: the series is full
         self.samples.append(self._sample())
         sim = self.machine.sim
-        # reschedule only while model (non-daemon) events remain — the
-        # engine enforces this too; the check keeps us safe even under
-        # a caller that drives step() directly
+        # reschedule only while model (non-daemon) events remain: the
+        # drain already stops at a daemon once no model event is left,
+        # and this only avoids queuing a tick that would never fire
         if sim._live > sim._daemons:
             sim.call_daemon(self.interval, self._tick)
 

@@ -21,11 +21,18 @@ simply does not advance until the fill (or a handler's deferred drain)
 delivers the element's completion — the batch splits at the faulting
 element for free.
 
-Observability: a processor with an effect probe subscriber, or whose
-coherence engine has an access probe subscriber (:mod:`repro.sim.probe`),
-runs every macro-effect through :class:`MicroBatch` instead, which
-feeds each element of ``eff.micro()`` through ``Processor._execute``,
-so observers see exactly the per-element stream the micro program
+Observability (:mod:`repro.sim.probe`): ``after_execute`` fires once
+per dispatched element on both paths, with the element's effect
+class. A processor with ``after_execute`` subscribers (the cycle
+profiler) runs the reporting variant of each runner
+(``REPORTED_CLASSES``): it reports every element it issues, right
+after issuing it, as ``Processor._execute`` does. Only a
+``before_execute`` subscriber, or a ``before_access`` subscriber on
+the processor's coherence engine (the checkers, the ``effect`` and
+``txn`` tracer), needs the effect objects themselves: such a processor
+runs every macro-effect through :class:`MicroBatch`, which feeds each
+element of ``eff.micro()`` through ``Processor._execute``, so those
+observers see exactly the per-element stream the micro program
 yields.
 """
 
@@ -56,6 +63,10 @@ class _BatchBase:
     a time, so per-op scratch state (``_addr``/``_value``) lives on the
     batch and the four completion callbacks are pre-bound once per
     batch instead of one closure per element."""
+
+    #: effect class of the loads ``micro()`` yields (reported to
+    #: ``after_execute`` by the reporting variant)
+    LOAD = fx.Load
 
     __slots__ = (
         "proc", "ctx", "_addr", "_value",
@@ -395,11 +406,13 @@ class PollBatch(_BatchBase):
     completion callbacks, ``_spin_loaded`` and ``_spin_backed_off``,
     instead of through step(): spins are the bulk of the wait rounds
     (113k in a two-episode 256-node SM barrier), and the generic round
-    made each one take about 20% more host time.
+    made each one take about 20% more host time. The reporting variant
+    (``_ReportedPollBatch``) runs every round through step().
     """
 
     __slots__ = ("quantum", "left", "ready", "addrs", "n", "values", "k",
                  "_line")
+    LOAD = fx.LoadAcquire
 
     def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
         super().__init__(proc, ctx)
@@ -513,6 +526,48 @@ class PollBatch(_BatchBase):
             proc._maybe_miss_switch(ctx)
 
 
+class _Reported:
+    """Mixin for a runner on a processor with ``after_execute``
+    subscribers: each element is reported, with its effect class, right
+    after it is issued (where ``Processor._execute`` fires the probe).
+    Unobserved processors run the plain runners, which pay nothing."""
+
+    __slots__ = ()
+
+    def _report(self, cls) -> None:
+        ctx = self.ctx
+        for fn in self.proc.after_execute:
+            fn(ctx, cls)
+
+    def _issue_compute(self, cycles: int) -> None:
+        super()._issue_compute(cycles)
+        self._report(fx.Compute)
+
+    def _issue_load(self, addr: int) -> None:
+        super()._issue_load(addr)
+        self._report(self.LOAD)
+
+    def _issue_store(self, addr: int, value: Any) -> None:
+        super()._issue_store(addr, value)
+        self._report(fx.Store)
+
+    def _issue_prefetch(self, addr: int) -> None:
+        super()._issue_prefetch(addr)
+        self._report(fx.Prefetch)
+
+
+class _ReportedPollBatch(_Reported, PollBatch):
+    """A reporting poll runs every round through ``step()``: the
+    inlined one-address round issues its elements itself."""
+
+    __slots__ = ()
+
+    def __init__(self, proc: "Processor", ctx: "Context", eff) -> None:
+        super().__init__(proc, ctx, eff)
+        self._cb_read = self._done_read
+        self._cb_plain = self._done_plain
+
+
 class MicroBatch:
     """Runs ``eff.micro()``, sending each element through
     ``Processor._execute`` exactly as a program yielding it would."""
@@ -543,4 +598,17 @@ BATCH_CLASSES = {
     fx.LoadComputeStore: LoadComputeStoreBatch,
     fx.StoreRun: StoreRunBatch,
     fx.Poll: PollBatch,
+}
+
+
+def _reported(runner: type) -> type:
+    return type(f"_Reported{runner.__name__}", (_Reported, runner), {"__slots__": ()})
+
+
+#: macro effect class -> batch runner reporting to ``after_execute``
+REPORTED_CLASSES = {
+    fx.ComputeLoad: _reported(ComputeLoadBatch),
+    fx.LoadComputeStore: _reported(LoadComputeStoreBatch),
+    fx.StoreRun: _reported(StoreRunBatch),
+    fx.Poll: _ReportedPollBatch,
 }

@@ -25,7 +25,9 @@ from repro.params import ProcessorParams
 from repro.memory.coherence import AccessKind, CoherenceEngine
 from repro.memory.store import BackingStore
 from repro.proc import effects as fx
-from repro.proc.batch import BATCH_CLASSES as _BATCHES, MicroBatch
+from repro.proc.batch import (
+    BATCH_CLASSES as _BATCHES, REPORTED_CLASSES as _REPORTED, MicroBatch,
+)
 from repro.sim.engine import SimulationError, Simulator
 
 HandlerFn = Callable[[Message], Generator]
@@ -75,7 +77,11 @@ class Processor:
     #: probe points (repro.sim.probe) and the arguments they fire with
     PROBES = (
         "before_step", "after_step",        # (ctx): around _step
-        "before_execute", "after_execute",  # (ctx, eff): around effect dispatch
+        # around effect dispatch. before_execute fires with (ctx, eff)
+        # and makes _step run each macro-effect's micro() program;
+        # after_execute fires with (ctx, effect class), once per
+        # element on both paths (batch runners report what they issue)
+        "before_execute", "after_execute",
         "before_enqueue",                   # (ctx, resumed): joins the ready queue
         "after_spawn",                      # (ctx): run_thread made a thread
         "before_finish", "after_finish",    # (ctx): its generator returned
@@ -336,13 +342,16 @@ class Processor:
             if batch_cls is not None:
                 # macro-effect: start its batch runner, or run its micro
                 # program when an observer wants the per-element effect
-                # (or access) stream. The envelope object deliberately
-                # bypasses _execute and is not counted in stats.effects
-                # — each element counts itself, so effect rates stay
-                # comparable with unbatched runs.
-                if (self.before_execute or self.after_execute
-                        or self.coherence.before_access):
+                # objects (or access stream); an after_execute subscriber
+                # gets each element's class from the reporting runner.
+                # The envelope object deliberately bypasses _execute and
+                # is not counted in stats.effects — each element counts
+                # itself, so effect rates stay comparable with unbatched
+                # runs.
+                if self.before_execute or self.coherence.before_access:
                     batch_cls = MicroBatch
+                elif self.after_execute:
+                    batch_cls = _REPORTED[eff.__class__]
                 ctx.batch = batch = batch_cls(self, ctx, eff)
                 batch.step(None)
                 return
@@ -380,7 +389,7 @@ class Processor:
         handler(self, ctx, eff)
         if self.after_execute:
             for fn in self.after_execute:
-                fn(ctx, eff)
+                fn(ctx, eff.__class__)
 
     def _eff_compute(self, ctx: Context, eff) -> None:
         cycles = eff.cycles * self.p.compute_unit

@@ -27,7 +27,9 @@ deterministic as the old sequence-numbered heap.
 A bucket item is either a bare callable (the handle-free
 :meth:`Simulator.call_after` fast path — nothing to allocate, nothing
 to cancel) or a ``_Event`` record when the caller needs an
-:class:`EventHandle`. Host speed changes, simulated timing does not.
+:class:`EventHandle` or queues a daemon (observer) event. Every
+:meth:`Simulator.run` drains the queue through one inlined loop.
+Host speed changes, simulated timing does not.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
+import sys
 from collections import deque
 from typing import Callable
+
+#: the ``until`` of a run without one: no simulated time reaches it
+_FOREVER = sys.maxsize
 
 
 class SimulationError(RuntimeError):
@@ -44,34 +50,18 @@ class SimulationError(RuntimeError):
 
 
 class _Event:
-    """Cancellable queue entry (only allocated when a handle is taken)."""
+    """Queue entry for a cancellable event (only allocated when a handle
+    is taken) or a daemon (observer) event. Bare callables are the
+    common entry; these take the drain loop's slower branch."""
 
-    __slots__ = ("time", "fn", "cancelled", "fired")
+    __slots__ = ("time", "fn", "cancelled", "fired", "daemon")
 
-    def __init__(self, time: int, fn: Callable[[], None]) -> None:
+    def __init__(self, time: int, fn: Callable[[], None], daemon: bool = False) -> None:
         self.time = time
         self.fn = fn
         self.cancelled = False
         self.fired = False
-
-
-class _Daemon:
-    """Queue entry for a daemon (observer) event.
-
-    Callable so :meth:`Simulator.step` runs it through the same bare
-    ``item()`` path as handle-free events; the only extra work is
-    keeping the simulator's daemon count current.
-    """
-
-    __slots__ = ("_sim", "fn")
-
-    def __init__(self, sim: "Simulator", fn: Callable[[], None]) -> None:
-        self._sim = sim
-        self.fn = fn
-
-    def __call__(self) -> None:
-        self._sim._daemons -= 1
-        self.fn()
+        self.daemon = daemon
 
 
 class EventHandle:
@@ -207,7 +197,7 @@ class Simulator:
         if bucket is None:
             self._buckets[when] = bucket = deque()
             heapq.heappush(self._times, when)
-        bucket.append(_Daemon(self, fn))
+        bucket.append(_Event(when, fn, daemon=True))
 
     def schedule_at(self, when: int, fn: Callable[[], None]) -> EventHandle:
         """Schedule ``fn`` at absolute cycle ``when`` (>= now)."""
@@ -235,26 +225,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop_next(self):
-        """Pop the globally next live ``(when, item)``, or None.
-        Skips cancelled events; retires drained time buckets."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            while bucket:
-                item = bucket.popleft()
-                if item.__class__ is _Event and item.cancelled:
-                    continue
-                return t, item
-            # bucket drained with nothing live at t: retire it. A
-            # same-cycle reschedule can only happen *while* an event at
-            # t is running, so nothing can repopulate t after this.
-            heapq.heappop(times)
-            del buckets[t]
-        return None
-
     def _next_time(self):
         """Time of the next live event without popping it, or None."""
         times = self._times
@@ -270,131 +240,124 @@ class Simulator:
             del buckets[t]
         return None
 
-    def step(self) -> bool:
-        """Run a single event. Returns False when the queue is empty."""
-        nxt = self._pop_next()
-        if nxt is None:
-            return False
-        when, item = nxt
-        if when < self.now:
-            raise SimulationError("event queue time went backwards")
-        self.now = when
-        self._live -= 1
-        self.events_processed += 1
-        if item.__class__ is _Event:
-            item.fired = True
-            item.fn()
-        else:
-            item()
-        return True
-
-    def run(
-        self,
-        until: int | None = None,
-        max_events: int | None = None,
-        stop_when: Callable[[], bool] | None = None,
-    ) -> int:
+    def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Drain the event queue.
 
         Parameters
         ----------
         until:
             Stop once the clock would pass this cycle (events at exactly
-            ``until`` still run).
+            ``until`` still run); the clock then rests at ``until``.
         max_events:
-            Safety valve against runaway simulations.
-        stop_when:
-            Checked after every event; when it returns True the run
-            stops early.
+            Safety valve against runaway simulations: raise
+            :class:`SimulationError` right after the ``max_events``-th
+            event of this call.
+
+        The run also stops, without firing it, at the first daemon
+        (observer) event it reaches once no model event is left.
+
+        Every run drains through the one loop in :meth:`_drain`. The
+        cyclic garbage collector is paused only for an unconditioned
+        drain (no ``until``, no ``max_events``, no daemon events
+        queued), the tight loop the experiments use: it allocates
+        heavily (closures, packets, events), but nearly everything
+        dies young and is freed by refcounting, so collection passes
+        mid-drain are pure overhead. Other drains keep the collector
+        running: each finished task and its future form a reference
+        cycle, and so does each batch runner through its pre-bound
+        callbacks, and a long ``Runtime.run_to_completion`` drain
+        would hold them all until it ends.
 
         Returns the simulated time at exit.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if max_events is not None and max_events < 1:
+            raise SimulationError(f"max_events must be positive, got {max_events!r}")
+        pause_gc = (until is None and max_events is None and not self._daemons
+                    and gc.isenabled())
         self._running = True
-        processed = 0
-        stopped_early = False
+        if pause_gc:
+            gc.disable()
         try:
-            if until is None and max_events is None and stop_when is None:
-                if self._daemons:
-                    # stop once only daemon (observer) events remain;
-                    # they never extend the run on their own
-                    while self._live > self._daemons and self.step():
-                        pass
-                else:
-                    # Unconditioned drain: the tight loop the
-                    # experiments use. Pop/dispatch inlined (no
-                    # step()/_pop_next() call per event), buckets and
-                    # heappop bound to locals, events_processed and
-                    # _live accumulated locally and flushed in
-                    # ``finally`` (nothing can observe them mid-run
-                    # without daemons). Within a bucket, callbacks may
-                    # append to the deque being drained (same-cycle
-                    # chains), and the inner ``while bucket`` picks
-                    # those up in FIFO order. The bucket invariant gives
-                    # non-decreasing times, so the backwards-clock
-                    # check lives only in the conditioned paths.
-                    # The drain allocates heavily (closures, packets,
-                    # events) but nearly everything dies young and is
-                    # freed by refcounting; cyclic-GC passes mid-drain
-                    # are pure overhead. Pause collection for the
-                    # drain, restoring the caller's setting after.
-                    gc_was_enabled = gc.isenabled()
-                    if gc_was_enabled:
-                        gc.disable()
-                    times = self._times
-                    buckets = self._buckets
-                    heappop = heapq.heappop
-                    n = 0
-                    try:
-                        while times:
-                            t = times[0]
-                            bucket = buckets[t]
-                            while bucket:
-                                item = bucket.popleft()
-                                if item.__class__ is _Event:
-                                    # cancelled events never advance now
-                                    if item.cancelled:
-                                        continue
-                                    self.now = t
-                                    n += 1
-                                    item.fired = True
-                                    item.fn()
-                                else:
-                                    self.now = t
-                                    n += 1
-                                    item()
-                            heappop(times)
-                            del buckets[t]
-                    finally:
-                        self._live -= n
-                        self.events_processed += n
-                        if gc_was_enabled:
-                            gc.enable()
-            else:
-                while True:
-                    if self._live <= self._daemons:
-                        break
-                    nxt = self._next_time()
-                    if nxt is None:
-                        break
-                    if until is not None and nxt > until:
-                        break
-                    if not self.step():
-                        break
-                    processed += 1
-                    if stop_when is not None and stop_when():
-                        stopped_early = True
-                        break
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} (runaway simulation?)"
-                        )
+            fired = self._drain(_FOREVER if until is None else until,
+                                -1 if max_events is None else max_events)
         finally:
             self._running = False
-        if until is not None and not stopped_early:
-            self.now = max(self.now, until)
+            if pause_gc:
+                gc.enable()
+        if fired == max_events:
+            raise SimulationError(
+                f"exceeded max_events={max_events} (runaway simulation?)"
+            )
+        if until is not None and self.now < until:
+            self.now = until
         return self.now
+
+    def _drain(self, end: int, stop: int) -> int:
+        """Fire events in time order through cycle ``end``, stopping
+        right after the ``stop``-th; returns how many fired. ``-1``
+        means no limit (CPython 3.11 specializes the per-event
+        ``n == stop`` for small ints like -1, not for ``sys.maxsize``).
+
+        Pop and dispatch are inlined. ``events_processed`` and
+        ``_live`` are counted in locals and flushed on exit and before
+        a daemon event fires (the one kind of callback that reads
+        them). Callbacks may append to the bucket being drained
+        (same-cycle chains); ``while bucket`` picks those up in FIFO
+        order, and the bucket invariant gives non-decreasing times.
+        Cancelled events, handle events and daemons take the
+        ``_Event`` branch.
+        """
+        times = self._times
+        buckets = self._buckets
+        heappop = heapq.heappop
+        n = 0  # events fired by this call
+        flushed = 0  # of them, already counted in _live/events_processed
+        try:
+            while times:
+                t = times[0]
+                if t > end:
+                    return n
+                bucket = buckets[t]
+                while bucket:
+                    if n == stop:
+                        return n
+                    item = bucket.popleft()
+                    if item.__class__ is _Event:
+                        # cancelled events never advance now
+                        if item.cancelled:
+                            continue
+                        if item.daemon:
+                            if self._live - (n - flushed) <= self._daemons:
+                                # no model event is left, and daemons
+                                # never extend the run on their own
+                                bucket.appendleft(item)
+                                return n
+                            self._daemons -= 1
+                            # one an ``until`` moved the idle clock
+                            # past fires late, at now
+                            if self.now < t:
+                                self.now = t
+                            n += 1
+                            self._live -= n - flushed
+                            self.events_processed += n - flushed
+                            flushed = n
+                        else:
+                            self.now = t
+                            n += 1
+                        item.fired = True
+                        item.fn()
+                    else:
+                        self.now = t
+                        n += 1
+                        item()
+                heappop(times)
+                del buckets[t]
+            return n
+        finally:
+            self._live -= n - flushed
+            self.events_processed += n - flushed
 
     def next_model_time(self):
         """Time of the next live *model* event, or None when the queue

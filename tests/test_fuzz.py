@@ -28,6 +28,8 @@ from repro.fuzz.corpus import Corpus, entry_id, replay_corpora
 from repro.fuzz.gen import GEN_VERSION, generate, validate_scenario
 from repro.fuzz.oracles import classify, primary, signature_of
 from repro.fuzz.scenario import canonical, run_scenario
+from repro.proc.batch import PollBatch
+from repro.proc.effects import Load
 
 REPO = Path(__file__).resolve().parent.parent
 COMMITTED_CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -85,6 +87,33 @@ class TestRunScenario:
             a, b = run_scenario(sc), run_scenario(sc)
             assert canonical(a) == canonical(b), f"seed {seed} nondeterministic"
             assert not classify(a), f"seed {seed}: {classify(a)}"
+
+    def test_macro_diff_compares_profiles(self, monkeypatch):
+        """With ``diff_macro`` the oracle also compares the checked
+        (micro) run's cycle-attribution profile with the batch-runner
+        replay's; the profile never enters the stored result."""
+        sc = _racy_handoff_scenario(n_nodes=4, words=2)
+        sc["program"] = [
+            # skewed nodes: some consumers spin on their handoff flag
+            {"op": "compute", "cycles": 100},
+            {"op": "handoff", "racy": False, "words": 2},
+            {"op": "macro", "kind": "compute_load", "elems": 32},
+            {"op": "macro", "kind": "copy", "elems": 8},
+            {"op": "macro", "kind": "store_run", "elems": 8},
+        ]
+        sc["diff_macro"] = True
+        validate_scenario(sc)
+        result = run_scenario(sc)
+        assert not classify(result), classify(result)
+        assert result["divergence"] is None
+        assert "profile" not in canonical(result)
+        # a poll runner that reports its loads as plain Loads moves
+        # the profile and nothing else
+        monkeypatch.setattr(PollBatch, "LOAD", Load)
+        result = run_scenario(sc)
+        assert result["divergence"]["field"] == "profile"
+        assert ("divergence:micro-macro", "profile") in {
+            (v["oracle"], v["kind"]) for v in classify(result)}
 
     def test_racy_handoff_flagged(self):
         verdicts = classify(run_scenario(_racy_handoff_scenario()))

@@ -11,8 +11,9 @@ The hand-written micro programs below are the reference: each effect's
 must simulate exactly what they simulate. These tests pin that
 contract, including hypothesis sweeps that force coherence misses
 (batch splits) at random elements via a concurrent writer, and which
-runner a processor starts (observed processors run ``micro()``
-itself).
+runner a processor starts (one with a checker or the effect/txn
+tracer runs ``micro()`` itself; a profiled one runs the reporting
+form of the batch runner, whose profile must equal the micro path's).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.proc import (
     expand,
 )
 from repro.proc.batch import (
+    REPORTED_CLASSES,
     ComputeLoadBatch,
     LoadComputeStoreBatch,
     MicroBatch,
@@ -777,8 +779,7 @@ def _observe_race_detector(m):
 
 @pytest.mark.parametrize("kind", sorted(RUNNERS))
 @pytest.mark.parametrize("observe", [
-    _observe_effect_tracer, _observe_txn_tracer, _observe_profiler,
-    _observe_race_detector,
+    _observe_effect_tracer, _observe_txn_tracer, _observe_race_detector,
 ])
 def test_observed_processor_runs_micro_program(kind, observe):
     m = machine()
@@ -791,10 +792,71 @@ def test_observed_processor_runs_micro_program(kind, observe):
 def test_unobserved_processor_runs_batch_runner(kind, step_probe):
     from repro.sim.probe import Subscriptions
 
+    def observed(m):
+        if step_probe:  # a before_step subscriber wants no effect stream
+            Subscriptions().add(m.processor(0), "before_step", lambda ctx: None)
+        return m
+
+    assert started_runner(observed(machine()), kind) is RUNNERS[kind][1]
+    # a processor whose only effect observer is the cycle profiler (an
+    # after_execute subscriber) keeps the runner, in its reporting form
+    m = observed(machine())
+    _observe_profiler(m)
+    runner = started_runner(m, kind)
+    assert runner in REPORTED_CLASSES.values()
+    assert issubclass(runner, RUNNERS[kind][1])
+
+
+# ----------------------------------------------------------------------
+# The cycle profiler sees the same element stream on both paths
+# ----------------------------------------------------------------------
+def profiled(build, micro):
+    """``build(m)`` on a fresh profiled machine; returns the profile
+    and ``build``'s result. ``micro`` forces every processor onto the
+    micro path with a no-op ``before_execute`` subscriber."""
+    from repro.obs.profiler import CycleProfiler
+    from repro.sim.probe import Subscriptions
+
     m = machine()
-    if step_probe:  # a before_step subscriber wants no effect stream
-        Subscriptions().add(m.processor(0), "before_step", lambda ctx: None)
-    assert started_runner(m, kind) is RUNNERS[kind][1]
+    prof = CycleProfiler(m)
+    if micro:
+        subs = Subscriptions()
+        for node in m.nodes:
+            subs.add(node.processor, "before_execute", lambda ctx, eff: None)
+    result = build(m)
+    return prof.as_dict(), result
+
+
+def assert_same_profile(build):
+    batch, micro = profiled(build, False), profiled(build, True)
+    assert batch == micro
+    return batch
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNERS))
+def test_profile_of_batch_runner_equals_micro_program(kind):
+    def build(m):
+        a = m.alloc(1, 128)
+        eff = RUNNERS[kind][0](a)
+        out = []
+
+        def program():
+            yield Compute(3)
+            res = yield eff
+            yield Load(a)
+            return res
+
+        def releaser():  # invalidates node 0's copies, ends the spin
+            yield Compute(150)
+            yield StoreRelease(a, 1)
+
+        m.processor(0).run_thread(program(), on_finish=out.append)
+        m.processor(2).run_thread(releaser())
+        m.run()
+        return m.sim.now, out
+
+    profile, (_, out) = assert_same_profile(build)
+    assert out and profile["per_node"]["0"]["by_effect"]
 
 
 # ----------------------------------------------------------------------
@@ -840,6 +902,92 @@ def test_random_batches_with_invalidating_writer(
              m.processor(0).stats.effects)
         )
     assert results[0] == results[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    count=st.integers(min_value=0, max_value=12),
+    stride=st.sampled_from([8, 16, 64]),
+    compute=st.integers(min_value=0, max_value=4),
+    prefetch=st.booleans(),
+    writer_step=st.integers(min_value=1, max_value=5),
+    writer_delay=st.integers(min_value=0, max_value=120),
+)
+def test_random_batch_profiles_with_invalidating_writer(
+    count, stride, compute, prefetch, writer_step, writer_delay
+):
+    """The batch shapes above, profiled: the reporting runners give the
+    profile of the micro path, misses and handler borrowing included."""
+    def build(m):
+        base = m.alloc(1, max(count, 1) * stride)
+        dst = m.alloc(2, max(count, 1) * stride)
+        for i in range(count):
+            m.store.write(base + i * stride, i + 1)
+        pl = 64 if prefetch else 0  # a multiple of every drawn stride
+        out = []
+
+        def reader():
+            vals = yield ComputeLoad(base, count, stride=stride, compute=compute,
+                                     prefetch_line=pl)
+            yield LoadComputeStore(base, dst, count, stride=stride,
+                                   compute=compute, prefetch_line=pl)
+            yield StoreRun(dst, vals[::-1], stride=stride)
+            return vals
+
+        def writer():
+            if writer_delay:
+                yield Compute(writer_delay)
+            for i in range(0, count, writer_step):
+                yield Store(base + i * stride, 1000 + i)
+                yield Compute(7)
+            yield Send(0, "ping", (1,))
+
+        def ping(msg):
+            yield Compute(9)
+
+        m.processor(0).register_handler("ping", ping)
+        m.processor(0).run_thread(reader(), on_finish=out.append, label="reader")
+        m.processor(1).run_thread(writer(), label="writer")
+        m.run()
+        return m.sim.now, out
+
+    assert_same_profile(build)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    quantum=st.integers(min_value=1, max_value=6),
+    rounds=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    n_addrs=st.integers(min_value=0, max_value=2),
+    writer_delay=st.integers(min_value=0, max_value=200),
+)
+def test_random_poll_profiles_with_invalidating_writer(
+    quantum, rounds, n_addrs, writer_delay
+):
+    def build(m):
+        words = m.alloc(1, 16)
+        addrs = tuple(words + 8 * i for i in range(n_addrs))
+        done = {}
+        out = []
+
+        def ready(*values):
+            return any(values) if addrs else "stored" in done
+
+        def poller():
+            return (yield Poll(quantum, rounds, ready, addrs))
+
+        def writer():
+            if writer_delay:
+                yield Compute(writer_delay)
+            yield Store(words + 8 * max(n_addrs - 1, 0), 1)
+            done["stored"] = True
+
+        m.processor(0).run_thread(poller(), on_finish=out.append, label="poller")
+        m.processor(1).run_thread(writer(), label="writer")
+        m.run()
+        return m.sim.now, out
+
+    assert_same_profile(build)
 
 
 @settings(max_examples=20, deadline=None)
@@ -997,3 +1145,28 @@ def test_spin_starvation_site_is_the_waiting_code():
     assert len(spins) == 1
     assert spins[0].node == 0
     assert "barrier.py" in spins[0].sites[0]
+    # the word node 0 waits on, whichever of the wait's effects (its
+    # LoadAcquire or its backoff Compute) reached the limit
+    assert spins[0].addr == barrier.arrive_addr[1]
+
+
+def test_spin_starvation_addr_comes_from_the_current_streak():
+    # a Store ends the streak that loaded ``a``; the streak of Computes
+    # that reaches the limit loaded nothing, so the finding names no word
+    from repro.check import CheckerSet
+
+    m = machine(2)
+    checkers = CheckerSet(m, checks=("deadlock",), spin_limit=50)
+    a, b = m.alloc(0, 8), m.alloc(0, 8)
+
+    def prog():
+        yield Load(a)
+        yield Store(b, 1)
+        for _ in range(60):
+            yield Compute(1)
+
+    m.processor(0).run_thread(prog(), label="busy")
+    m.run(until=5_000)
+    spins = [f for f in checkers.finalize().findings
+             if f.kind == "spin-starvation"]
+    assert len(spins) == 1 and spins[0].addr is None

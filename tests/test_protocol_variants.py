@@ -10,7 +10,8 @@ writebacks), and two hardware contexts with a store buffer. For each
 the simulated cycles, events, the workload's result, the coherence
 and directory counter totals, and a SHA-256 over every metric row of
 the machine. A refactor of the protocol engine must reproduce all of
-them exactly.
+them exactly. Each case's cycle-attribution profile must also be the
+same whether its processors run the batch runners or ``micro()``.
 
 Regenerate (only for an intentional model change, and say so):
 
@@ -30,10 +31,12 @@ from repro.apps.grain import grain_parallel
 from repro.machine import Machine, MachineConfig
 from repro.memory import CoherenceParams
 from repro.obs.metrics import collect_machine
+from repro.obs.profiler import CycleProfiler
 from repro.params import ProcessorParams
 from repro.proc import Compute, FetchOp, Load, Prefetch, Store
 from repro.runtime import Runtime
 from repro.runtime.barrier import SMTreeBarrier
+from repro.sim.probe import Subscriptions
 
 GOLDEN = Path(__file__).parent / "golden" / "protocol_variants.json"
 
@@ -167,6 +170,27 @@ def test_protocol_variant_identical(variant, workload, golden):
     assert got == golden[f"{variant}/{workload}"], (
         f"{variant}/{workload}: cycles, events or metrics moved"
     )
+
+
+def profile(variant: str, workload: str, micro: bool) -> dict:
+    """The cycle-attribution profile of one case. ``micro`` forces the
+    micro path with a no-op ``before_execute`` subscriber; otherwise the
+    profiled processors run the (reporting) batch runners."""
+    n_nodes, body = WORKLOADS[workload]
+    m = Machine(MachineConfig(n_nodes=n_nodes, **VARIANTS[variant]()))
+    prof = CycleProfiler(m)
+    if micro:
+        subs = Subscriptions()
+        for node in m.nodes:
+            subs.add(node.processor, "before_execute", lambda ctx, eff: None)
+    body(m)
+    return prof.as_dict()
+
+
+@pytest.mark.parametrize("variant,workload", CASES)
+def test_profile_does_not_depend_on_the_path(variant, workload):
+    assert profile(variant, workload, micro=False) == profile(
+        variant, workload, micro=True)
 
 
 if __name__ == "__main__":

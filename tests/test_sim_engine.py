@@ -124,17 +124,122 @@ def test_max_events_guard():
         sim.run(max_events=100)
 
 
-def test_stop_when_predicate():
+@pytest.mark.parametrize("delay", [0, 1])  # a same-cycle chain, a cycle chain
+def test_max_events_raises_right_after_the_nth_event(delay):
     sim = Simulator()
-    count = []
+    fired = []
 
-    def tick():
-        count.append(sim.now)
-        sim.schedule(1, tick)
+    def forever():
+        fired.append(sim.now)
+        sim.call_after(delay, forever)
 
-    sim.schedule(0, tick)
-    sim.run(stop_when=lambda: len(count) >= 5)
-    assert len(count) == 5
+    sim.call_after(0, forever)
+    with pytest.raises(SimulationError, match="max_events=7"):
+        sim.run(max_events=7)
+    assert len(fired) == 7
+    assert sim.events_processed == 7
+    assert sim.now == fired[-1]
+    with pytest.raises(SimulationError):  # the budget is per call
+        sim.run(max_events=5)
+    assert len(fired) == 12
+
+
+def test_max_events_raises_on_a_run_of_exactly_n_events():
+    def run(max_events):
+        sim = Simulator()
+        fired = []
+        for t in (0, 0, 3, 5):
+            sim.call_after(t, lambda t=t: fired.append(t))
+        sim.schedule(4, lambda: fired.append("h")).cancel()  # never counts
+        try:
+            sim.run(max_events=max_events)
+        except SimulationError:
+            return fired, True
+        return fired, False
+
+    assert run(5) == ([0, 0, 3, 5], False)
+    assert run(4) == ([0, 0, 3, 5], True)
+    assert run(3) == ([0, 0, 3], True)
+
+
+def test_max_events_leaves_the_rest_of_the_queue_in_order():
+    """A run stopped by its budget inside a bucket keeps the bucket's
+    unfired events queued in FIFO order, same-cycle appends included."""
+    def schedule(sim, order):
+        def chain(tag, k):
+            order.append((sim.now, tag, k))
+            if k:
+                sim.call_after(0, lambda: chain(tag, k - 1))
+
+        for tag in "abc":
+            sim.call_after(2, lambda tag=tag: chain(tag, 2))
+        sim.schedule(2, lambda: order.append((sim.now, "h", 0)))
+        sim.call_daemon(2, lambda: order.append((sim.now, "d", 0)))
+        sim.call_after(9, lambda: order.append((sim.now, "z", 0)))
+
+    whole = []
+    sim = Simulator()
+    schedule(sim, whole)
+    sim.run()
+    for budget in range(1, len(whole)):
+        split = []
+        sim = Simulator()
+        schedule(sim, split)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=budget)
+        assert len(split) == budget
+        sim.run()
+        assert split == whole
+        assert sim.events_processed == len(whole) and sim.pending == 0
+
+
+def test_run_until_with_only_daemon_events_left():
+    sim = Simulator()
+    seen = []
+    sim.call_daemon(8, lambda: seen.append(("d", sim.now)))
+    assert sim.run(until=50) == 50
+    assert seen == [] and sim.pending == 1
+    # model work again: the daemon the clock passed fires late, and
+    # the clock never runs backwards
+    sim.call_after(10, lambda: seen.append(("m", sim.now)))
+    sim.run(until=55)
+    assert seen == [("d", 50)] and sim.now == 55
+    sim.run()
+    assert seen == [("d", 50), ("m", 60)] and sim.now == 60
+
+
+@pytest.mark.parametrize("kw", [{}, {"until": 100}, {"max_events": 100}])
+def test_daemon_never_fires_after_the_last_model_event(kw):
+    sim = Simulator()
+    seen = []
+    sim.call_daemon(5, lambda: seen.append(("d", sim.now)))
+    sim.call_after(5, lambda: seen.append(("m", sim.now)))
+    sim.call_daemon(5, lambda: seen.append(("d", sim.now)))  # after the last model event
+    sim.call_daemon(7, lambda: seen.append(("d", sim.now)))
+    sim.run(**kw)
+    assert seen == [("d", 5), ("m", 5)]
+    assert sim.now == kw.get("until", 5)
+    assert sim.pending == 2 and sim.events_processed == 2
+
+
+def test_daemon_reads_current_counters():
+    """Counters are flushed before a daemon runs, exactly as if every
+    event had been counted as it fired."""
+    sim = Simulator()
+    seen = []
+    for t in (1, 1, 2):
+        sim.call_after(t, lambda: None)
+    sim.call_daemon(2, lambda: seen.append((sim.events_processed, sim.pending)))
+    sim.call_after(3, lambda: None)
+    sim.run()
+    assert seen == [(4, 1)]
+    assert sim.events_processed == 5 and sim.pending == 0
+
+
+def test_max_events_must_be_positive():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="positive"):
+        sim.run(max_events=0)
 
 
 def test_cancel_already_fired_event():
@@ -155,22 +260,6 @@ def test_schedule_at_exactly_now_fires_same_cycle():
     sim.run()
     assert seen == [10]
     assert sim.now == 10
-
-
-def test_stop_when_on_final_event_keeps_event_time():
-    sim = Simulator()
-    hits = []
-
-    def tick():
-        hits.append(sim.now)
-
-    sim.schedule(5, tick)
-    sim.schedule(9, tick)
-    # the predicate turns true on the very last event: the clock must
-    # rest at that event's time, not jump ahead to ``until``
-    sim.run(until=500, stop_when=lambda: len(hits) >= 2)
-    assert hits == [5, 9]
-    assert sim.now == 9
 
 
 def test_events_processed_counter():
