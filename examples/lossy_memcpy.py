@@ -37,7 +37,7 @@ def run_copy(reliable: bool, drop: float):
     tracer = Tracer(m, kinds={"fault"})
     layer = ReliableLayer(m) if reliable else None
     bulk = BulkTransfer(m, reliable=layer)
-    injector = FaultInjector(m, lossy_plan(drop, seed=SEED), tracer=tracer)
+    injector = FaultInjector(m, lossy_plan(drop, seed=SEED))
 
     src = m.alloc(0, NBYTES)
     dst = m.alloc(1, NBYTES)

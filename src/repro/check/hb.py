@@ -25,10 +25,8 @@ thread spawn / ``Suspend`` resume      ``before_enqueue`` probe joins
                                        address
 ``Future.resolve`` → ``wait``          ``("future", fid)`` hook key
 ``Runtime.make_task`` → task body      ``("task", tid)`` hook key
-MP barrier arrive → release            ``("bar-arr", ...)`` /
-                                       ``("bar-rel", ...)`` hook keys
-MP reduce fold → result delivery       ``("red-arr", ...)`` /
-                                       ``("red-res", ...)`` hook keys
+MP tree (barrier and reduce)           ``("mptree-up", ...)`` /
+arrival → release                      ``("mptree-down", ...)`` hook keys
 DMA / ``Storeback``                    via the carrying message's clock
 =====================================  ===================================
 

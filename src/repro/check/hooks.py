@@ -12,7 +12,7 @@ module:
   clock" (a future's waiter, the barrier's release decision).
 
 Keys are tuples such as ``("future", fid)``, ``("task", tid)`` or
-``("bar-rel", id(barrier), node, episode)``. They need only be unique
+``("mptree-down", id(tree), node, episode)``. They need only be unique
 within one machine (task ids count per runtime), because a sink acts
 only while its own machine is executing a context.
 

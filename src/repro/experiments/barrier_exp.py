@@ -13,13 +13,15 @@ from repro.experiments.common import make_machine, sweep_map
 from repro.perf.sweep import SweepPoint
 from repro.proc.effects import Compute
 from repro.runtime.barrier import MPTreeBarrier, SMTreeBarrier
+from repro.sim.engine import SimulationError
 
 PAPER_CYCLES = {"shared-memory (binary tree)": 1650, "message-passing (8-ary tree)": 660}
 
 
 def measure_barrier(make_barrier, n_nodes: int = 64, episodes: int = 4) -> int:
     """Steady-state barrier latency: last-entry to last-release of the
-    final episode (earlier episodes warm caches / handler state)."""
+    final episode (earlier episodes warm caches / handler state).
+    Raises if any node never left the final episode."""
     m = make_machine(n_nodes)
     barrier = make_barrier(m)
     enters: dict[int, list[int]] = {}
@@ -36,6 +38,9 @@ def measure_barrier(make_barrier, n_nodes: int = 64, episodes: int = 4) -> int:
         m.processor(node).run_thread(participant(node))
     m.run()
     last = episodes - 1
+    left = len(leaves.get(last, ()))
+    if left != n_nodes:
+        raise SimulationError(f"barrier hung: {left}/{n_nodes} released")
     return max(leaves[last]) - max(enters[last])
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.tables import ExperimentResult
+from repro.experiments.barrier_exp import measure_barrier
 from repro.experiments.common import make_machine, run_thread_timed, sweep_map
 from repro.perf.sweep import SweepPoint
 from repro.faults import FaultInjector, lossy_plan
-from repro.proc.effects import Compute
 from repro.runtime.barrier import MPTreeBarrier
 from repro.runtime.bulk import BulkTransfer
 from repro.runtime.reliable import ReliableLayer
@@ -39,7 +39,7 @@ def _measure_memcpy(
     m = make_machine(4)
     layer = ReliableLayer(m)
     bulk = BulkTransfer(m, reliable=layer)
-    injector = FaultInjector(m, lossy_plan(drop, seed=seed))
+    FaultInjector(m, lossy_plan(drop, seed=seed))
     src = m.alloc(0, nbytes)
     dst = m.alloc(1, nbytes)
     for i in range(nbytes // 8):
@@ -63,33 +63,21 @@ def _measure_memcpy(
 def _measure_barrier(
     drop: float, n_nodes: int, episodes: int, seed: int
 ) -> tuple[int, int, int]:
-    """Reliable-mode MP barrier under loss; returns the steady-state
-    episode latency (last entry to last release of the final episode)."""
-    m = make_machine(n_nodes)
-    layer = ReliableLayer(m)
-    barrier = MPTreeBarrier(m, fanout=8, reliable=layer)
-    injector = FaultInjector(m, lossy_plan(drop, seed=seed))
-    enters: dict[int, list[int]] = {}
-    leaves: dict[int, list[int]] = {}
+    """Reliable-mode MP barrier under loss; returns (cycles,
+    retransmits, faults_injected), cycles being ``measure_barrier``'s
+    steady-state episode latency."""
+    layers = []
 
-    def participant(node: int):
-        for ep in range(episodes):
-            enters.setdefault(ep, []).append(m.sim.now)
-            yield from barrier.enter(node)
-            leaves.setdefault(ep, []).append(m.sim.now)
-            yield Compute(1)
+    def make_barrier(m):
+        layer = ReliableLayer(m)
+        layers.append(layer)
+        barrier = MPTreeBarrier(m, fanout=8, reliable=layer)
+        FaultInjector(m, lossy_plan(drop, seed=seed))
+        return barrier
 
-    for node in range(n_nodes):
-        m.processor(node).run_thread(participant(node))
-    m.run()
-    last = episodes - 1
-    if len(leaves.get(last, ())) != n_nodes:
-        raise SimulationError(
-            f"barrier hung under drop={drop}: "
-            f"{len(leaves.get(last, ()))}/{n_nodes} released"
-        )
-    cycles = max(leaves[last]) - max(enters[last])
-    return cycles, layer.stats.retransmits, m.network.stats.faults_injected
+    cycles = measure_barrier(make_barrier, n_nodes, episodes)
+    (layer,) = layers
+    return cycles, layer.stats.retransmits, layer.machine.network.stats.faults_injected
 
 
 def measure_point(

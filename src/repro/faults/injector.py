@@ -18,9 +18,10 @@ so any tracer or sampler) see only what it really injects:
 
 All randomness comes from one ``random.Random(plan.seed)`` stream
 drawn in simulator order, so identical plans reproduce identical
-fault schedules. Every injected fault is logged (and recorded as a
-``"fault"`` trace event when a tracer is attached) and counted on
-``NetworkStats``.
+fault schedules. Every injected fault is logged, counted on
+``NetworkStats`` and fired at the fabric's ``after_fault`` probe (so a
+tracer records it as a ``"fault"`` event, whichever was attached
+first).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from repro.faults.plan import FaultPlan, FaultRates
 from repro.machine.machine import Machine
 from repro.network.packet import Packet
-from repro.trace.tracer import Tracer
 
 
 @dataclass
@@ -48,15 +48,9 @@ class FaultEvent:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to one machine's fabric."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        plan: FaultPlan,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, machine: Machine, plan: FaultPlan) -> None:
         self.machine = machine
         self.plan = plan
-        self.tracer = tracer
         self.rng = random.Random(plan.seed)
         self.log: list[FaultEvent] = []
         #: pids of packets this policy itself re-injects later (a held
@@ -105,8 +99,8 @@ class FaultInjector:
         self.log.append(
             FaultEvent(self.machine.sim.now, node, fault, detail, pid)
         )
-        if self.tracer is not None:
-            self.tracer.record(node, "fault", fault, detail)
+        for fn in self.machine.network.after_fault:
+            fn(node, fault, detail)
 
     def _roll(self, rates: FaultRates) -> str | None:
         """One fate draw against ``rates`` (fixed category order)."""

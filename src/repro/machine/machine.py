@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 from repro.cmmu.interface import Cmmu
+from repro.cmmu.message import BlockRef
 from repro.params import MachineConfig
 from repro.memory.address import make_addr
 from repro.memory.cache import Cache
@@ -13,7 +15,8 @@ from repro.memory.directory import Directory
 from repro.memory.store import BackingStore
 from repro.network.fabric import Network
 from repro.network.topology import Mesh2D, Torus2D
-from repro.proc.processor import Processor
+from repro.proc.effects import Send
+from repro.proc.processor import HandlerFn, Processor
 from repro.sim.engine import Resource, Simulator
 
 
@@ -97,6 +100,29 @@ class Machine:
 
     def processor(self, node: int) -> Processor:
         return self.nodes[node].processor
+
+    # ------------------------------------------------------------------
+    # Raw message transport: the interface of repro.runtime.ReliableLayer
+    # without its delivery promise, so a primitive holds either one
+    # ------------------------------------------------------------------
+    def register_handler(self, node: int, mtype: str, fn: HandlerFn) -> None:
+        self.nodes[node].processor.register_handler(mtype, fn)
+
+    def register_everywhere(self, mtype: str, fn: HandlerFn) -> None:
+        for node in self.nodes:
+            node.processor.register_handler(mtype, fn)
+
+    def send(
+        self,
+        src: int | None,
+        dst: int,
+        mtype: str,
+        operands: tuple = (),
+        blocks: list[BlockRef] | None = None,
+    ) -> Generator:
+        """``yield from machine.send(...)`` on node ``src``: one raw
+        describe/launch (the raw path itself never needs ``src``)."""
+        yield Send(dst, mtype, operands=operands, blocks=blocks or [])
 
     def alloc(self, node: int, nbytes: int, align: int | None = None) -> int:
         """Bump-allocate ``nbytes`` of memory homed at ``node``; returns

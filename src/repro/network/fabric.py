@@ -77,10 +77,11 @@ class NetworkStats:
 class Network:
     """The mesh interconnect: injects packets, delivers to node sinks."""
 
-    #: probe points (repro.sim.probe), fired only for packets the
-    #: fabric really injects: before_send with (packet,), after_send
-    #: with (packet, arrival)
-    PROBES = ("before_send", "after_send")
+    #: probe points (repro.sim.probe). before_send with (packet,) and
+    #: after_send with (packet, arrival) fire only for packets the
+    #: fabric really injects; the installed send policy fires
+    #: after_fault with (node, fault, detail) for each fault it injects
+    PROBES = ("before_send", "after_send", "after_fault")
 
     def __init__(
         self,
@@ -115,7 +116,7 @@ class Network:
         #: send policy deciding each packet's fate before injection (a
         #: repro.faults.FaultInjector); None on a healthy fabric
         self.faults = None
-        self.before_send = self.after_send = ()
+        self.before_send = self.after_send = self.after_fault = ()
 
     # ------------------------------------------------------------------
     def attach(self, node: int, sink: DeliverFn) -> None:

@@ -23,7 +23,7 @@ from typing import Generator
 
 from repro.cmmu.message import BlockRef
 from repro.machine.machine import Machine
-from repro.proc.effects import Compute, LoadComputeStore, Send, Storeback
+from repro.proc.effects import Compute, LoadComputeStore, Storeback
 from repro.runtime.reliable import ReliableLayer
 from repro.runtime.sync import Future
 from repro.sim.engine import SimulationError
@@ -87,26 +87,13 @@ class BulkTransfer:
         self.send_sw_cost = send_sw_cost
         self.recv_sw_cost = recv_sw_cost
         self.reliable = reliable
+        self.net = reliable or machine
         #: sender-side completion futures: copy_id -> Future
         self._acks: dict[int, Future] = {}
         #: receiver-side notification futures: copy_id -> Future
         self._arrivals: dict[int, Future] = {}
-        if reliable is not None:
-            reliable.register_everywhere(MSG_BULK, self._handle_bulk)
-            reliable.register_everywhere(MSG_BULK_ACK, self._handle_ack)
-        else:
-            for node in range(machine.n_nodes):
-                proc = machine.processor(node)
-                proc.register_handler(MSG_BULK, self._handle_bulk)
-                proc.register_handler(MSG_BULK_ACK, self._handle_ack)
-
-    def _send(
-        self, src: int | None, dst: int, mtype: str, operands=(), blocks=None
-    ) -> Generator:
-        if self.reliable is None:
-            yield Send(dst, mtype, operands=operands, blocks=blocks or [])
-        else:
-            yield from self.reliable.send(src, dst, mtype, operands, blocks)
+        self.net.register_everywhere(MSG_BULK, self._handle_bulk)
+        self.net.register_everywhere(MSG_BULK_ACK, self._handle_ack)
 
     # ------------------------------------------------------------------
     def arrival_future(self, copy_id: int) -> Future:
@@ -137,7 +124,7 @@ class BulkTransfer:
             raise SimulationError("reliable bulk transfer needs src_node")
         cid = self.new_copy_id() if copy_id is None else copy_id
         yield Compute(self.send_sw_cost)
-        yield from self._send(
+        yield from self.net.send(
             src_node,
             dst_node,
             MSG_BULK,
@@ -157,7 +144,7 @@ class BulkTransfer:
         yield Storeback(dst_addr)
         if want_ack:
             # the handler runs on the destination node (== msg.dst)
-            yield from self._send(msg.dst, msg.src, MSG_BULK_ACK, operands=(cid,))
+            yield from self.net.send(msg.dst, msg.src, MSG_BULK_ACK, operands=(cid,))
         fut = self._arrivals.setdefault(cid, Future())
         fut.resolve(None)
 

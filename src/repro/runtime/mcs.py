@@ -29,9 +29,11 @@ from repro.sim.engine import SimulationError
 class MCSLock:
     """A queue lock usable from every node of a machine."""
 
-    def __init__(self, machine: Machine, home: int = 0, spin_backoff: int = 8) -> None:
+    #: cycles between probes of a waiter's flag
+    SPIN_BACKOFF = 8
+
+    def __init__(self, machine: Machine, home: int = 0) -> None:
         self.machine = machine
-        self.spin_backoff = spin_backoff
         self.tail_addr = machine.alloc(home, 8)
         n = machine.n_nodes
         self.locked_addr = [machine.alloc(node, 8) for node in range(n)]
@@ -54,7 +56,7 @@ class MCSLock:
             return  # uncontended
         # link behind the predecessor and spin on MY OWN flag
         yield StoreRelease(self.next_addr[pred - 1], me)
-        yield Poll(self.spin_backoff, None, operator.not_,
+        yield Poll(self.SPIN_BACKOFF, None, operator.not_,
                    (self.locked_addr[node],))
 
     def release(self, node: int) -> Generator:
@@ -76,7 +78,7 @@ class MCSLock:
                 nxt = yield LoadAcquire(self.next_addr[node])
                 if nxt != 0:
                     break
-                yield Compute(self.spin_backoff)
+                yield Compute(self.SPIN_BACKOFF)
         # hand the lock directly to the successor (one remote write)
         yield StoreRelease(self.locked_addr[nxt - 1], 0)
         self._held_by.discard(node)

@@ -21,8 +21,11 @@ build reliability. This module is that layer:
 
 Delivery is reliable but not ordered: a delayed packet may dispatch
 after a younger one. The primitives layered on top (bulk transfer,
-combining-tree barrier, remote thread invocation) are all
-commutative per message, so they only need exactly-once.
+the combining-tree barrier and all-reduce, remote thread invocation)
+are all commutative per message, so they only need exactly-once.
+Each holds the layer or the raw :class:`~repro.machine.Machine` as
+its one transport: both offer ``register_handler``,
+``register_everywhere`` and ``send``.
 
 Usage::
 

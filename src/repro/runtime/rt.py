@@ -113,6 +113,9 @@ class Runtime:
         #: packet loss; the shared-memory scheduler needs no such layer
         #: (coherence traffic is hardware-reliable)
         self.reliable = reliable
+        #: the transport every scheduler message goes through (a lost
+        #: steal reply would otherwise spin the thief forever)
+        self.net = reliable or machine
         self.tasks: dict[int, Task] = {}
         self._task_ids = itertools.count(1)
         self.done = False
@@ -136,10 +139,7 @@ class Runtime:
                     (MSG_TASK, sched.handle_task),
                 )
                 for mtype, fn in handlers:
-                    if reliable is not None:
-                        reliable.register_handler(node, mtype, fn)
-                    else:
-                        proc.register_handler(mtype, fn)
+                    self.net.register_handler(node, mtype, fn)
             proc.kick()  # start the idle loop (work stealing) everywhere
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from typing import Generator
 
-from repro.proc.effects import Compute, Poll, Send, Yield as YieldEffect
+from repro.proc.effects import Compute, Poll, Yield as YieldEffect
 from repro.runtime.scheduler.base import NodeScheduler
 from repro.runtime.task import Task, TaskState
 
@@ -39,15 +39,6 @@ class HybridScheduler(NodeScheduler):
         #: outstanding steal requests: req_id -> reply box (the thief
         #: spins on the box so it never has two steals in flight)
         self._pending_steals: dict[int, dict] = {}
-
-    def _send(self, src: int, dst: int, mtype: str, operands) -> Generator:
-        """One scheduler message: raw, or via the runtime's
-        ReliableLayer when one is installed (a lost steal reply would
-        otherwise spin the thief forever)."""
-        if self.rt.reliable is None:
-            yield Send(dst, mtype, operands=operands)
-        else:
-            yield from self.rt.reliable.send(src, dst, mtype, operands)
 
     # ------------------------------------------------------------------
     # Queue mechanism: plain local operations, no locks
@@ -87,7 +78,7 @@ class HybridScheduler(NodeScheduler):
         req_id = next(_req_ids)
         box: dict[str, int] = {}
         self._pending_steals[req_id] = box
-        yield from self._send(self.node, victim, MSG_STEAL_REQ, (self.node, req_id))
+        yield from self.rt.net.send(self.node, victim, MSG_STEAL_REQ, (self.node, req_id))
         if self.rt.reliable is not None:
             while "tid" not in box:
                 yield Compute(4)
@@ -113,7 +104,7 @@ class HybridScheduler(NodeScheduler):
         operand words, unpacked and enqueued atomically by the
         receiver's handler."""
         yield Compute(self.rt.p.remote_invoke_marshal)
-        yield from self._send(src, dest, MSG_TASK, (task.tid, 0, 0, 0))
+        yield from self.rt.net.send(src, dest, MSG_TASK, (task.tid, 0, 0, 0))
 
     # ------------------------------------------------------------------
     # Handlers (registered by the Runtime on this scheduler's node)
@@ -123,12 +114,12 @@ class HybridScheduler(NodeScheduler):
         if not self._deque:
             # fast path: empty queue, cheap negative reply
             yield Compute(2)
-            yield from self._send(self.node, thief, MSG_STEAL_REPLY, (req_id, 0))
+            yield from self.rt.net.send(self.node, thief, MSG_STEAL_REPLY, (req_id, 0))
             return
         yield Compute(self.rt.p.steal_handler_cost)
         task = self.pop_oldest_nowait()
         tid = task.tid if task is not None else 0
-        yield from self._send(self.node, thief, MSG_STEAL_REPLY, (req_id, tid))
+        yield from self.rt.net.send(self.node, thief, MSG_STEAL_REPLY, (req_id, tid))
 
     def handle_steal_reply(self, msg) -> Generator:
         req_id, tid = msg.operands

@@ -114,16 +114,16 @@ class SpinLock:
     which the paper cites] keeps contended critical sections short.
     """
 
-    def __init__(
-        self, addr: int, spin_backoff: int = 16, spin_backoff_max: int = 512
-    ) -> None:
+    #: first backoff between probes and its cap (cycles; it doubles)
+    SPIN_BACKOFF = 16
+    SPIN_BACKOFF_MAX = 512
+
+    def __init__(self, addr: int) -> None:
         self.addr = addr
-        self.spin_backoff = spin_backoff
-        self.spin_backoff_max = spin_backoff_max
 
     def acquire(self) -> Generator:
         """``yield from lock.acquire()``"""
-        backoff = self.spin_backoff
+        backoff = self.SPIN_BACKOFF
         while True:
             old = yield FetchOp(self.addr, lambda _v: 1)
             if old == 0:
@@ -132,7 +132,7 @@ class SpinLock:
             # race for the test-and-set again
             while True:
                 yield Compute(backoff)
-                backoff = min(backoff * 2, self.spin_backoff_max)
+                backoff = min(backoff * 2, self.SPIN_BACKOFF_MAX)
                 v = yield LoadAcquire(self.addr)
                 if v == 0:
                     break
@@ -162,14 +162,14 @@ class SpinLock:
         A failed steal must also be cheap, because at fine grain most
         steals fail — hence the bound.
         """
-        backoff = self.spin_backoff
+        backoff = self.SPIN_BACKOFF
         for attempt in range(max_attempts):
             old = yield FetchOp(self.addr, lambda _v: 1)
             if old == 0:
                 return True
             if attempt + 1 < max_attempts:
                 yield Compute(backoff)
-                backoff = min(backoff * 2, self.spin_backoff_max)
+                backoff = min(backoff * 2, self.SPIN_BACKOFF_MAX)
         return False
 
     def release(self) -> Generator:

@@ -16,8 +16,9 @@ detaches automatically).
     print(tracer.summarize())
     tracer.to_jsonl("run.jsonl")
 
-The ``"fault"`` kind is recorded by an attached
-:class:`~repro.faults.FaultInjector`, not by the tracer's own probes.
+The ``"fault"`` kind records what an installed
+:class:`~repro.faults.FaultInjector` fires at the fabric's
+``after_fault`` probe.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ class Tracer:
                        f"->{packet.dst} {packet.size_words}w")
 
             sub(m.network, "before_send", sent)
+        if "fault" in kinds:
+            def fault(node, what, detail):
+                record(node, "fault", what, detail)
+
+            sub(m.network, "after_fault", fault)
         if "txn" in kinds:
             def access(node, addr, kind):
                 record(node, "txn", kind.value, f"@{addr:#x}")

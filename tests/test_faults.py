@@ -230,7 +230,7 @@ class TestObservability:
     def test_fault_trace_events(self):
         m, _ = ping_machine()
         tracer = Tracer(m, kinds={"fault"})
-        FaultInjector(m, lossy_plan(0.5, seed=3), tracer=tracer)
+        FaultInjector(m, lossy_plan(0.5, seed=3))
         spray(m, n=40)
         faults = tracer.filter(kind="fault")
         assert faults
@@ -326,3 +326,29 @@ class TestZeroRateOnPaperWorkloads:
             return cycles, m.sim.now
 
         assert measure(False) == measure(True)
+
+
+def test_observed_lossy_point_traces_every_fault(monkeypatch):
+    """The session's tracer exists before the experiment installs its
+    fault policy, and still records one fault event per injected fault."""
+    from repro.experiments import faults_exp
+    from repro.obs.session import ObsConfig, session
+
+    logs = []
+
+    def logged(m, plan):
+        injector = FaultInjector(m, plan)
+        logs.append(injector.log)
+        return injector
+
+    monkeypatch.setattr(faults_exp, "FaultInjector", logged)
+    cfg = ObsConfig(trace=True, trace_kinds=("packet", "fault"))
+    with session(cfg) as s:
+        for workload in ("memcpy", "barrier"):
+            faults_exp.measure_point(workload, 0.05, 512, 16, 2, seed=1)
+        records = s.data()["records"]
+    assert len(records) == len(logs) == 2
+    for record, log in zip(records, logs):
+        traced = [ev for ev in record["trace"] if ev[2] == "fault"]
+        assert log
+        assert traced == [(f.time, f.node, "fault", f.fault, f.detail) for f in log]

@@ -117,10 +117,10 @@ class TestFaultPolicy:
         plan = FaultPlan(rates=FaultRates(drop=0.3, duplicate=0.3), seed=3)
         if tracer_first:
             tracer = Tracer(m, kinds={"packet", "fault"})
-            FaultInjector(m, plan, tracer=tracer)
+            inj = FaultInjector(m, plan)
         else:
             inj = FaultInjector(m, plan)
-            tracer = inj.tracer = Tracer(m, kinds={"packet", "fault"})
+            tracer = Tracer(m, kinds={"packet", "fault"})
 
         def worker():
             for i in range(40):
@@ -131,6 +131,8 @@ class TestFaultPolicy:
         m.run()
         packets = [e for e in tracer.events if e.kind == "packet"]
         assert len(packets) == m.network.stats.packets
+        faults = [e for e in tracer.events if e.kind == "fault"]
+        assert len(faults) == len(inj.log) > 0
         return [(e.time, e.node, e.kind, e.what, e.detail) for e in tracer.events]
 
     def test_attach_order_does_not_change_trace(self):

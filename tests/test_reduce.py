@@ -132,6 +132,32 @@ class TestReduceSpecifics:
             cycles[name] = max(done)
         assert cycles["mp"] < cycles["sm"]
 
+    @pytest.mark.parametrize("kind,cycles", [("sm", 2520), ("mp", 449)])
+    def test_64_node_episode_latency(self, kind, cycles):
+        """benchmarks/bench_ext_reduce.py's steady-state episode (last
+        entry to last leave of the fourth), quoted in EXPERIMENTS.md."""
+        m = machine(64)
+        red = (
+            SMTreeReduce(m, arity=2)
+            if kind == "sm"
+            else MPTreeReduce(m, operator.add, fanout=8)
+        )
+        enters, leaves = [], []
+
+        def participant(node):
+            for ep in range(4):
+                if ep == 3:
+                    enters.append(m.sim.now)
+                yield from red.reduce(node, node + ep, operator.add)
+                if ep == 3:
+                    leaves.append(m.sim.now)
+                yield Compute(2)
+
+        for node in range(64):
+            m.processor(node).run_thread(participant(node))
+        m.run()
+        assert max(leaves) - max(enters) == cycles
+
     @given(st.integers(2, 16), st.lists(st.integers(-50, 50), min_size=16, max_size=16))
     @settings(max_examples=10, deadline=None)
     def test_mp_sum_property(self, fanout, values):

@@ -1,5 +1,7 @@
 """Tests for the reliable delivery layer and reliable-mode primitives."""
 
+import operator
+
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultRates, lossy_plan
@@ -8,6 +10,7 @@ from repro.proc import Compute
 from repro.runtime import Runtime
 from repro.runtime.barrier import MPTreeBarrier
 from repro.runtime.bulk import BulkTransfer
+from repro.runtime.reduce import MPTreeReduce
 from repro.runtime.reliable import ReliableLayer, ReliableParams
 from repro.sim.engine import SimulationError
 
@@ -240,6 +243,30 @@ class TestReliableBarrier:
     def test_completes_under_5pct_drop(self):
         finished, layer, m = self.run_barrier(0.05)
         assert sorted(finished) == list(range(16))
+        assert m.network.stats.dropped > 0
+        assert layer.stats.retransmits > 0
+
+
+class TestReliableReduce:
+    @pytest.mark.parametrize("drop,n_nodes", [(0.10, 9), (0.20, 16), (0.15, 64)])
+    def test_exact_totals_under_loss(self, drop, n_nodes):
+        episodes = 3
+        m = Machine(MachineConfig(n_nodes=n_nodes))
+        layer = ReliableLayer(m)
+        red = MPTreeReduce(m, operator.add, fanout=8, reliable=layer)
+        FaultInjector(m, lossy_plan(drop, seed=4))
+        totals = {node: [] for node in range(n_nodes)}
+
+        def participant(node):
+            for ep in range(episodes):
+                yield Compute((node * 37 + ep * 11) % 97)
+                totals[node].append((yield from red.reduce(node, node + ep)))
+
+        for node in range(n_nodes):
+            m.processor(node).run_thread(participant(node))
+        m.run()
+        expected = [sum(range(n_nodes)) + n_nodes * ep for ep in range(episodes)]
+        assert all(got == expected for got in totals.values())
         assert m.network.stats.dropped > 0
         assert layer.stats.retransmits > 0
 
