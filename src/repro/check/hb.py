@@ -55,6 +55,7 @@ epoch the context records, so it never decides a check).
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
@@ -116,7 +117,8 @@ class RaceDetector:
     Subscribes to every processor's step, execute, enqueue and finish
     probes and every CMMU's ``after_launch`` (:mod:`repro.sim.probe`);
     registers itself as a :mod:`repro.check.hooks` sink for
-    runtime-level edges.
+    runtime-level edges. The machine runs on the thread that built the
+    detector, and the sink ignores hook calls made on any other.
     """
 
     name = "race"
@@ -125,6 +127,9 @@ class RaceDetector:
         self.machine = machine
         self._emit = emit
         self._subs = Subscriptions()
+        #: the thread the machine runs on (hook calls from others are
+        #: another machine's)
+        self._thread = threading.get_ident()
         #: cid -> vector clock {cid: epoch}; the own entry appears with
         #: the context's first recorded data access
         self._vc: dict[int, dict[int, int]] = {}
@@ -226,6 +231,8 @@ class RaceDetector:
     # Hook sink (repro.check.hooks)
     # ------------------------------------------------------------------
     def signal(self, key: tuple) -> None:
+        if threading.get_ident() != self._thread:
+            return  # another thread's machine
         ctx = self._active[-1] if self._active else None
         if ctx is None:
             return  # driver-level code: no simulated context to order
@@ -238,6 +245,8 @@ class RaceDetector:
         _tick(vc, ctx.cid)
 
     def observe(self, key: tuple) -> None:
+        if threading.get_ident() != self._thread:
+            return
         ctx = self._active[-1] if self._active else None
         if ctx is None:
             return

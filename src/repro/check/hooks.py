@@ -13,22 +13,28 @@ module:
 
 Keys are tuples such as ``("future", fid)``, ``("task", tid)`` or
 ``("mptree-down", id(tree), node, episode)``. They need only be unique
-within one machine (task ids count per runtime), because a sink acts
-only while its own machine is executing a context.
+within one machine (task ids count per runtime, from 1), because a
+sink acts only on hook calls made on its own machine's thread, while
+that machine is executing a context. Machines checked on other
+threads (``serve --workers N`` runs one job per thread) therefore
+never see each other's edges.
 
 When no checker is registered the hooks are dead cheap: callers guard
 with ``if hooks.SINKS:`` (one attribute read and a falsy test), so an
 unchecked run allocates nothing. Registered sinks resolve the calling
-execution context themselves (only the machine actually executing has
-an active context, so foreign machines' sinks no-op).
+thread and execution context themselves.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
-#: registered sinks (one per checked machine); empty = checking off
+#: registered sinks (one per checked machine); empty = checking off.
+#: Replaced, never mutated, so a thread iterating it while another
+#: registers or unregisters still visits every sink it holds
 SINKS: list[Any] = []
+_LOCK = threading.Lock()
 
 
 def signal(key: tuple) -> None:
@@ -44,9 +50,12 @@ def observe(key: tuple) -> None:
 
 
 def register(sink: Any) -> None:
-    SINKS.append(sink)
+    global SINKS
+    with _LOCK:
+        SINKS = [*SINKS, sink]
 
 
 def unregister(sink: Any) -> None:
-    if sink in SINKS:
-        SINKS.remove(sink)
+    global SINKS
+    with _LOCK:
+        SINKS = [s for s in SINKS if s is not sink]

@@ -75,11 +75,6 @@ class Cache:
         """Current state of ``line`` (INVALID when absent)."""
         return self._lines.get(line, LineState.INVALID)
 
-    def touch(self, line: int) -> None:
-        """Refresh LRU position of a present line."""
-        if line in self._lines:
-            self._lines.move_to_end(line)
-
     def lookup(self, line: int, for_write: bool) -> bool:
         """Hit test with stats accounting; refreshes LRU on hit.
 

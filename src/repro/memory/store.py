@@ -33,34 +33,6 @@ class BackingStore:
         self.writes += 1
         self._mem[addr] = value
 
-    def read_range(self, addr: int, count: int, stride: int) -> list[Any]:
-        """Read ``count`` values starting at ``addr``, ``stride`` bytes apart."""
-        return [self.read(addr + i * stride) for i in range(count)]
-
-    def copy_range(
-        self, src: int, dst: int, nbytes: int, granule: int = 4
-    ) -> None:
-        """Copy ``nbytes`` of values from ``src`` to ``dst``.
-
-        Used by the DMA engine at message delivery. Copies every
-        stored key in the source range at its natural granularity as
-        well as ``granule``-aligned defaults, so sparse and dense
-        writes both survive the transfer.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative copy length {nbytes}")
-        # Copy any value actually stored in the source window,
-        # preserving its offset. Keys not present read as 0 at the
-        # destination too only if the destination had no prior value,
-        # so clear the destination window first.
-        for off in range(0, nbytes, granule):
-            key = src + off
-            if key in self._mem:
-                self._mem[dst + off] = self._mem[key]
-            else:
-                self._mem.pop(dst + off, None)
-        self.writes += nbytes // granule if granule else 0
-
     def snapshot_range(
         self, addr: int, nbytes: int, granule: int = 4
     ) -> list[tuple[int, Any]]:

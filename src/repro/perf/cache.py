@@ -9,11 +9,12 @@ the cache key is built from three parts:
 
 * **descriptor hash** — SHA-256 over the schema version, the ``fn``
   spec, and the sorted kwargs items;
-* **code fingerprint** — SHA-256 over the source of the point
-  function's module plus every ``repro`` module it transitively
-  imports (static ``ast`` walk, memoized by mtime/size). Editing any
-  module in that closure changes the fingerprint, so only the points
-  that could be affected re-run;
+* **code fingerprint** — SHA-256 over every ``repro`` source file,
+  taken once per process at its first use (:func:`repo_fingerprint`);
+  a point function outside the package (a benchmark or a test) adds
+  its own module's source, re-read when that file changes. Any edit
+  to the package re-runs every point, and a running process keeps the
+  fingerprint of the code it imported;
 * **observation key** — ``repr()`` of the active
   :class:`~repro.obs.session.ObsConfig` (empty when unobserved), since
   an observed run caches its observation payload alongside the result.
@@ -36,7 +37,7 @@ service's run store alike::
     python -m repro.perf.cache gc      [--cache-dir D | --store-dir D]
                                        [--max-age-days N] [--max-bytes B] [--all]
     python -m repro.perf.cache verify  [--sample N] [--seed S] [--fix]
-    python -m repro.perf.cache fingerprint        # repo-wide, for CI cache keys
+    python -m repro.perf.cache fingerprint        # the code fingerprint, for CI
     python -m repro.perf.cache bench   [--min-speedup X] [--jobs N]
 
 ``verify`` re-runs a random sample of cached points from scratch and
@@ -47,7 +48,6 @@ stale or corrupted cache silently feeding a table.
 from __future__ import annotations
 
 import argparse
-import ast
 import hashlib
 import importlib.util
 import json
@@ -78,133 +78,80 @@ _PICKLE_PROTO = 4
 
 
 # ----------------------------------------------------------------------
-# Code fingerprinting: static import closure over the repro package
+# Code fingerprinting: the package's sources, hashed once per process
 # ----------------------------------------------------------------------
-_PATHS: dict[str, str | None] = {}
-#: source path -> ((mtime_ns, size), SHA-256, the ``repro`` modules it
-#: imports, or None until a caller that knows its module name asks)
-_SOURCES: dict[str, tuple[tuple[int, int], str, frozenset[str] | None]] = {}
+#: (fingerprint, module names) of the ``repro`` package, once taken
+_PACKAGE: tuple[str, frozenset[str]] | None = None
+_PACKAGE_LOCK = threading.Lock()
+#: source path of a module outside the package -> ((mtime_ns, size), SHA-256)
+_SOURCES: dict[str, tuple[tuple[int, int], str]] = {}
 
 
-def _module_path(modname: str) -> str | None:
-    """Source file of ``modname`` (None for builtins / missing)."""
-    if modname in _PATHS:
-        return _PATHS[modname]
+def _digest(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _package() -> tuple[str, frozenset[str]]:
+    """The package's fingerprint and module names. Every ``repro``
+    source file is hashed at the first call; later calls return that
+    value for the rest of the process, which never reloads the code it
+    imported, so editing a source cannot move it."""
+    global _PACKAGE
+    if _PACKAGE is None:
+        with _PACKAGE_LOCK:
+            if _PACKAGE is None:
+                import repro
+
+                root = Path(repro.__file__).parent
+                h = hashlib.sha256()
+                modules = set()
+                for path in sorted(root.rglob("*.py")):
+                    rel = path.relative_to(root)
+                    h.update(f"{rel}={_digest(path)}\n".encode())
+                    name = ".".join(["repro", *rel.with_suffix("").parts])
+                    modules.add(name.removesuffix(".__init__"))
+                _PACKAGE = h.hexdigest(), frozenset(modules)
+    return _PACKAGE
+
+
+def _outside_source(modname: str) -> str | None:
+    """SHA-256 of a module outside the package (None for builtins or
+    missing modules), re-read whenever its (mtime_ns, size) changes."""
     try:
         spec = importlib.util.find_spec(modname)
     except (ImportError, ValueError):
-        spec = None
-    origin = spec.origin if spec is not None else None
-    path = origin if origin and origin.endswith(".py") else None
-    _PATHS[modname] = path
-    return path
-
-
-def _source(
-    path: str, modname: str | None = None
-) -> tuple[str, frozenset[str] | None]:
-    """SHA-256 of a source file and, given the name it is imported
-    under, the ``repro`` modules it imports. One ``os.stat`` per call:
-    both are memoized by (mtime_ns, size) and re-read on any change."""
+        return None
+    path = spec.origin if spec is not None else None
+    if not (path and path.endswith(".py")):
+        return None
     st = os.stat(path)
     key = (st.st_mtime_ns, st.st_size)
     cached = _SOURCES.get(path)
-    if cached is not None and cached[0] == key and (
-        modname is None or cached[2] is not None
-    ):
-        return cached[1], cached[2]
-    source = Path(path).read_bytes()
-    imports = None if modname is None else _imports_of(modname, path, source)
-    digest = hashlib.sha256(source).hexdigest()
-    _SOURCES[path] = (key, digest, imports)
-    return digest, imports
-
-
-def _with_ancestors(modname: str) -> list[str]:
-    parts = modname.split(".")
-    return [".".join(parts[: i + 1]) for i in range(len(parts))]
-
-
-def _imports_of(modname: str, path: str, source: bytes) -> frozenset[str]:
-    """``repro.*`` modules statically imported by one source file;
-    relative imports resolve against ``modname``."""
-    out: set[str] = set()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        tree = ast.Module(body=[], type_ignores=[])
-    is_pkg = os.path.basename(path) == "__init__.py"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "repro":
-                    out.update(_with_ancestors(alias.name))
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                pkg_parts = modname.split(".") if is_pkg else modname.split(".")[:-1]
-                if node.level > 1:
-                    pkg_parts = pkg_parts[: len(pkg_parts) - (node.level - 1)]
-                base = ".".join(pkg_parts)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            if base.split(".")[0] != "repro":
-                continue
-            out.update(_with_ancestors(base))
-            # `from repro.perf import sweep` names a submodule, not an attr
-            for alias in node.names:
-                candidate = f"{base}.{alias.name}"
-                if _module_path(candidate) is not None:
-                    out.add(candidate)
-    return frozenset(out)
-
-
-def _closure(modname: str) -> dict[str, tuple[str, str]]:
-    """``{module: (source path, digest)}`` over the point module and
-    its transitive ``repro`` imports, one stat per module
-    (unresolvable modules are skipped)."""
-    seen: dict[str, tuple[str, str]] = {}
-    stack = [modname]
-    while stack:
-        mod = stack.pop()
-        if mod in seen:
-            continue
-        path = _module_path(mod)
-        if path is None:
-            continue
-        digest, imports = _source(path, mod)
-        seen[mod] = (path, digest)
-        stack.extend(dep for dep in imports if dep not in seen)
-    return seen
-
-
-def import_closure(modname: str) -> dict[str, str]:
-    """The point module plus its transitive ``repro`` imports, as
-    ``{module: source-path}`` (unresolvable modules are skipped)."""
-    return {mod: path for mod, (path, _) in _closure(modname).items()}
+    if cached is None or cached[0] != key:
+        cached = _SOURCES[path] = (key, _digest(path))
+    return cached[1]
 
 
 def code_fingerprint(modname: str) -> str:
-    """Fingerprint of ``modname`` and everything it could reach inside
-    the ``repro`` package; changes iff any of that source changes."""
-    closure = _closure(modname)
-    if not closure:
+    """Fingerprint of the code a point in ``modname`` runs: the
+    package's (:func:`repo_fingerprint`) for ``"repro"`` and every
+    module in it; for a module outside the package (a benchmark or a
+    test), that plus the module's own source."""
+    fingerprint, modules = _package()
+    if modname in modules:
+        return fingerprint
+    digest = _outside_source(modname)
+    if digest is None:
         return f"unresolved:{modname}"
-    lines = "".join(f"{mod}={closure[mod][1]}\n" for mod in sorted(closure))
+    lines = f"repro={fingerprint}\n{modname}={digest}\n"
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def repo_fingerprint() -> str:
-    """Fingerprint over *every* ``repro`` source file — the coarse key
-    CI uses for ``actions/cache`` (any code change → new cache key)."""
-    import repro
-
-    root = Path(repro.__file__).parent
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        h.update(f"{path.relative_to(root)}={_source(str(path))[0]}\n".encode())
-    return h.hexdigest()
+    """Fingerprint over every ``repro`` source file, taken once per
+    process: the key of every cached point and stored run, ``/healthz``
+    and ``--version``, and CI's ``actions/cache`` key."""
+    return _package()[0]
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     vp.add_argument("--fix", action="store_true",
                     help="delete mismatched/corrupt entries")
     sub.add_parser("fingerprint", parents=[common],
-                   help="print the repo-wide code fingerprint (CI cache key)")
+                   help="print the code fingerprint (the CI cache key)")
     bp = sub.add_parser("bench", parents=[common],
                         help="quick sweep twice; gate warm speedup")
     bp.add_argument("--min-speedup", type=float, default=5.0)

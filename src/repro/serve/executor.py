@@ -11,12 +11,14 @@ submission time (HTTP 400), not discovered by a failed job. A
 The **run key** is the service-level twin of the run cache's key:
 
     sha256( descriptor(schema, experiment, sorted kwargs)
-            × code_fingerprint(experiment module)
+            × repo_fingerprint()
             × repr(ObsConfig) )
 
 Identical submissions from any number of clients therefore collapse
-onto one key; editing any code the experiment can reach changes the
-fingerprint and honestly re-runs. Execution happens under the shared
+onto one key. The fingerprint names the package code this process
+imported, taken once, before the daemon accepts a job: a daemon keeps
+its keys while sources are edited under it, and once restarted it keys
+(and re-runs) the edited code. Execution happens under the shared
 :class:`~repro.perf.cache.RunCache` (activated on the worker's
 thread), so even two *different* jobs overlapping in sweep points
 share point-level results.
@@ -83,18 +85,17 @@ class ExperimentExecutor:
     # -- keying --------------------------------------------------------
     def key_for(self, spec: dict) -> str:
         """The run key: descriptor × code fingerprint × obs key."""
-        from repro.perf.cache import code_fingerprint
+        from repro.perf.cache import repo_fingerprint
 
         if isinstance(spec, dict) and "fuzz" in spec:
-            exp_id, kwargs = "fuzz", self.resolve_fuzz(spec)
-            module, obs_key = "repro.fuzz.campaign", ""
+            exp_id, kwargs, obs_key = "fuzz", self.resolve_fuzz(spec), ""
         else:
-            from repro.experiments import ALL_EXPERIMENTS, spec as specs
+            from repro.experiments import spec as specs
 
             exp_id, kwargs, obs_cfg = specs.resolve(spec)
-            module, obs_key = ALL_EXPERIMENTS[exp_id].__module__, repr(obs_cfg)
+            obs_key = repr(obs_cfg)
         descriptor = repr((EXECUTOR_SCHEMA, exp_id, sorted(kwargs.items())))
-        payload = f"{descriptor}\n{code_fingerprint(module)}\n{obs_key}"
+        payload = f"{descriptor}\n{repo_fingerprint()}\n{obs_key}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- execution -----------------------------------------------------
@@ -119,7 +120,7 @@ class ExperimentExecutor:
         from repro.experiments import ALL_EXPERIMENTS, spec as specs
         from repro.obs.session import session as obs_session
         from repro.perf import progress as perf_progress
-        from repro.perf.cache import activate, code_fingerprint
+        from repro.perf.cache import activate, repo_fingerprint
 
         if "fuzz" in spec:
             return self._execute_fuzz(spec, should_cancel, progress)
@@ -179,7 +180,7 @@ class ExperimentExecutor:
             "experiment": exp_id,
             "params": kwargs,
             "wall_seconds": round(wall, 3),
-            "fingerprint": code_fingerprint(fn.__module__),
+            "fingerprint": repo_fingerprint(),
             "obs_key": repr(obs_cfg),
             "trace_id": trace_id,
             "cache": (
@@ -207,7 +208,7 @@ class ExperimentExecutor:
             run_campaign,
         )
         from repro.experiments.spec import dump_json
-        from repro.perf.cache import code_fingerprint
+        from repro.perf.cache import repo_fingerprint
 
         kwargs = self.resolve_fuzz(spec)
         cfg = CampaignConfig(jobs=self.jobs, corpus_dir=None,
@@ -232,7 +233,7 @@ class ExperimentExecutor:
             "experiment": "fuzz",
             "params": kwargs,
             "wall_seconds": round(time.time() - t0, 3),
-            "fingerprint": code_fingerprint("repro.fuzz.campaign"),
+            "fingerprint": repo_fingerprint(),
             "obs_key": "",
             "findings": len(report["findings"]),
         }

@@ -205,9 +205,12 @@ def build_app(
     """Wire store + journal + cache + executor + orchestrator into one
     app (workers not yet started). The journal lives next to the run
     store by default, is replayed here so queued jobs from a previous
-    daemon survive, and keeps appending for the life of the app."""
-    from repro.perf.cache import RunCache
+    daemon survive, and keeps appending for the life of the app. The
+    code fingerprint is taken first, so every job is keyed by the code
+    this process imported, however its sources change later."""
+    from repro.perf.cache import RunCache, repo_fingerprint
 
+    repo_fingerprint()
     store = RunStore(store_dir)
     journal = JobJournal(journal_path or default_journal_path(store.root))
     cache = None if no_cache else RunCache(cache_dir)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -440,6 +443,100 @@ class TestCheckerSet:
         assert validate_checks(CHECKER_NAMES) == CHECKER_NAMES
         with pytest.raises(ValueError, match="bogus"):
             validate_checks(["race", "bogus"])
+
+
+# ----------------------------------------------------------------------
+# Hook sinks act per machine thread
+# ----------------------------------------------------------------------
+class TestHookIsolation:
+    def test_sink_ignores_hook_calls_of_another_threads_machine(self):
+        # machine A is mid-step in a program that signals no hook while
+        # machine B, checked on another thread, runs a hybrid grain
+        # whose futures and tasks signal and observe hooks
+        from repro.apps.grain import grain_parallel
+        from repro.runtime import Runtime
+
+        a_stepping, b_done = threading.Event(), threading.Event()
+        detectors, errors = {}, []
+
+        def program():
+            yield Compute(10)
+            a_stepping.set()
+            assert b_done.wait(timeout=60)
+            yield Compute(10)
+
+        def run_a():
+            m, cs = checked_machine(checks=("race",))
+            detectors["a"] = cs.checkers[0]
+            m.processor(0).run_thread(program())
+            m.run()
+            cs.finalize()
+
+        def run_b():
+            try:
+                assert a_stepping.wait(timeout=60)
+                m, cs = checked_machine(n_nodes=4, checks=("race",))
+                detectors["b"] = cs.checkers[0]
+                rt = Runtime(m, scheduler="hybrid")
+                rt.run_to_completion(0, lambda rt, nd: grain_parallel(rt, nd, 4, 0))
+                cs.finalize()
+            finally:
+                b_done.set()
+
+        def guarded(fn):
+            try:
+                fn()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(fn,)) for fn in (run_a, run_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert errors == [] and not any(t.is_alive() for t in threads)
+        assert detectors["b"]._slots  # B's detector took B's hook calls
+        assert detectors["a"]._slots == {}
+        assert hooks.SINKS == []
+
+    def test_hook_calls_reach_every_sink_while_others_register(self):
+        # one thread unregistering its sink must not make another
+        # thread's call skip a sink it holds
+        class Sink:
+            def __init__(self):
+                self.thread, self.calls = threading.get_ident(), 0
+
+            def signal(self, key):
+                self.calls += threading.get_ident() == self.thread
+                time.sleep(0)  # hand the interpreter lock over mid-loop
+
+        missed, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(500):
+                    sink = Sink()
+                    hooks.register(sink)
+                    hooks.signal(("k",))
+                    hooks.unregister(sink)
+                    if sink.calls != 1:
+                        missed.append(sink.calls)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and not any(t.is_alive() for t in threads)
+        assert missed == []
+        assert hooks.SINKS == []
 
 
 # ----------------------------------------------------------------------

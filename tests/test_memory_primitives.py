@@ -79,22 +79,27 @@ class TestBackingStore:
         s.write(8, 3.14)
         assert s.read(8) == 3.14
 
+    # the DMA engine copies a range as snapshot_range at launch and
+    # write_snapshot at storeback
     def test_copy_range(self):
         s = BackingStore()
         for i in range(8):
             s.write(0x100 + i * 4, i * 10)
-        s.copy_range(0x100, 0x200, 32)
+        s.write_snapshot(0x200, 32, s.snapshot_range(0x100, 32))
         assert [s.read(0x200 + i * 4) for i in range(8)] == [i * 10 for i in range(8)]
 
     def test_copy_range_clears_stale_destination(self):
         s = BackingStore()
         s.write(0x200, 99)
-        s.copy_range(0x100, 0x200, 4)  # source empty -> dest reads 0
+        # source empty -> dest reads 0
+        s.write_snapshot(0x200, 4, s.snapshot_range(0x100, 4))
         assert s.read(0x200) == 0
 
     def test_copy_range_negative_rejected(self):
         with pytest.raises(ValueError):
-            BackingStore().copy_range(0, 8, -4)
+            BackingStore().snapshot_range(0, -4)
+        with pytest.raises(ValueError):
+            BackingStore().write_snapshot(8, -4, [])
 
     def test_atomic_rmw(self):
         s = BackingStore()
@@ -102,12 +107,6 @@ class TestBackingStore:
         old, new = s.atomically(0x10, lambda v: v + 3)
         assert (old, new) == (5, 8)
         assert s.read(0x10) == 8
-
-    def test_read_range(self):
-        s = BackingStore()
-        for i in range(4):
-            s.write(i * 8, i)
-        assert s.read_range(0, 4, 8) == [0, 1, 2, 3]
 
 
 class TestCache:

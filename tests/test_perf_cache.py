@@ -1,23 +1,28 @@
 """Tests for the content-addressed run cache and incremental sweeps.
 
 Correctness contract (ISSUE 5): a hit returns a bit-identical result
-vs the cold run; perturbing kwargs misses; editing code in the point's
-import closure invalidates; a corrupt entry is detected and re-run;
+vs the cold run; perturbing kwargs misses; editing the code a point
+runs invalidates; a corrupt entry is detected and re-run;
 and serial / parallel / cached results all agree.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import multiprocessing
 import os
 import pickle
+import pkgutil
+import shutil
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs.export import build_perfetto
 from repro.obs.session import ObsConfig, session
@@ -25,7 +30,6 @@ from repro.perf.cache import (
     RunCache,
     activate,
     code_fingerprint,
-    import_closure,
     repo_fingerprint,
 )
 from repro.perf import store
@@ -50,26 +54,21 @@ EXPECT = [i**3 for i in range(6)]
 # Code fingerprinting
 # ----------------------------------------------------------------------
 class TestFingerprint:
-    def test_closure_covers_transitive_repro_imports(self):
-        closure = import_closure("repro.experiments.fig7_memcpy")
-        assert "repro.experiments.fig7_memcpy" in closure
-        assert "repro.experiments.common" in closure  # direct import
-        assert "repro.sim.engine" in closure  # transitive, several hops
+    def test_every_package_module_has_the_repo_fingerprint(self):
+        fp = repo_fingerprint()
+        mods = {fn.__module__ for fn in ALL_EXPERIMENTS.values()}
+        mods |= {"repro", "repro.fuzz.campaign"}
+        mods |= {m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")}
+        assert len(mods) > 100
+        assert {code_fingerprint(m) for m in mods} == {fp}
+        # a point module outside the package adds its own source
+        outside = code_fingerprint("tests.test_perf_cache")
+        assert outside != fp and len(outside) == 64
 
     def test_fingerprint_is_stable(self):
         a = code_fingerprint("repro.experiments.fig7_memcpy")
         b = code_fingerprint("repro.experiments.fig7_memcpy")
         assert a == b and len(a) == 64
-
-    def test_distinct_closures_distinct_fingerprints(self):
-        # leaf module (closure of 1) vs an experiment (closure of ~all
-        # of repro — experiments reach the whole machine model)
-        assert code_fingerprint("repro.analysis.tables") != code_fingerprint(
-            "repro.experiments.fig7_memcpy"
-        )
-        assert len(import_closure("repro.analysis.tables")) < len(
-            import_closure("repro.experiments.fig7_memcpy")
-        )
 
     def test_repo_fingerprint_shape(self):
         assert len(repo_fingerprint()) == 64
@@ -77,23 +76,56 @@ class TestFingerprint:
     def test_unresolvable_module_gets_sentinel(self):
         assert code_fingerprint("no.such.module") == "unresolved:no.such.module"
 
-    def test_warm_fingerprint_stats_each_source_once(self, monkeypatch):
-        # one memo record per file holds both its digest and its
-        # imports, so a warm fingerprint costs one stat per module
-        mod = "repro.experiments.fig8_accum"
-        closure = import_closure(mod)
-        code_fingerprint(mod)
-        stats = []
+    def test_warm_package_fingerprint_does_no_io(self, monkeypatch):
+        mods = ("repro", "repro.experiments.fig8_accum")
+        for mod in mods:
+            code_fingerprint(mod)
+        calls = []
         real_stat = os.stat
 
         def counting_stat(path, *args, **kwargs):
-            stats.append(path)
+            calls.append(path)
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counting_stat)
-        code_fingerprint(mod)
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda *a, **k: calls.append(a))
+        for mod in mods:
+            code_fingerprint(mod)
         monkeypatch.undo()
-        assert sorted(stats) == sorted(closure.values())
+        assert calls == []
+
+    def test_fingerprint_is_the_code_the_process_imported(self, tmp_path):
+        # on a copy of the package: a running process keeps the
+        # fingerprint it took (and its first call imports nothing),
+        # while a fresh process sees the edited source
+        src = tmp_path / "src"
+        shutil.copytree(os.path.dirname(repro.__file__), src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = (
+            "import sys\n"
+            "from repro.perf import cache\n"
+            "before = set(sys.modules)\n"
+            "fp = cache.code_fingerprint('repro.experiments.fig8_accum')\n"
+            "assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+            "if sys.argv[1:]:\n"
+            "    with open(sys.argv[1], 'a') as f:\n"
+            "        f.write('# edited\\n')\n"
+            "    assert cache.code_fingerprint('repro.experiments.fig8_accum') == fp\n"
+            "    assert cache.repo_fingerprint() == fp\n"
+            "print(fp)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def fingerprint(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        before = fingerprint(str(src / "repro" / "apps" / "accum.py"))
+        after = fingerprint()
+        assert len(before) == len(after) == 64 and before != after
 
 
 def _write_module(path, body, bump_ns):

@@ -129,7 +129,8 @@ def test_copy_range_window_semantics(n_words, stale):
     store.write(0x8000, stale)  # pre-existing destination value
     for i in range(n_words):
         store.write(0x1000 + i * 4, i + 1)
-    store.copy_range(0x1000, 0x8000, n_words * 4)
+    nbytes = n_words * 4
+    store.write_snapshot(0x8000, nbytes, store.snapshot_range(0x1000, nbytes))
     assert store.read(0x8000) == 1  # overwritten, not merged
 
 
